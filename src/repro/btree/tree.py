@@ -163,12 +163,13 @@ class BPlusTree:
         the key comparisons it would charge, computed *without* touching the
         buffer pool or counters.
 
-        The batch KNN engine replays tree descents through per-query cost
-        ledgers instead of the shared pool; this keeps the replayed I/O and
-        CPU accounting exactly equal to a live descent.  Replay models no
-        real I/O, so it uses ``raw_fetch`` and never observes injected
-        faults (the live descent it mirrors already paid — and retried —
-        them through the buffer pool).
+        iDistance's recording sink (``_QueryLedger``, used by
+        ``knn_batch``) logs tree descents through this instead of the
+        shared pool; this keeps the replayed I/O and CPU accounting exactly
+        equal to the live descent its live sink runs for ``knn``.  Replay
+        models no real I/O, so it uses ``raw_fetch`` and never observes
+        injected faults (the live descent it mirrors already paid — and
+        retried — them through the buffer pool).
         """
         if self.root_page is None:
             raise RuntimeError("tree is empty; bulk_load or insert first")

@@ -222,9 +222,14 @@ def _run_round(
     failed: Dict[int, str] = {}
     timed_out = False
     try:
-        futures = {
-            ci: executor.submit(_parallel_chunk, ci) for ci in pending
-        }
+        futures = {}
+        for ci in pending:
+            try:
+                futures[ci] = executor.submit(_parallel_chunk, ci)
+            except concurrent.futures.BrokenExecutor as exc:
+                # A worker died before every chunk was queued: the pool
+                # refuses new work, and the chunk walks the ladder.
+                failed[ci] = type(exc).__name__
         done, not_done = concurrent.futures.wait(
             futures.values(), timeout=timeout_s
         )
@@ -242,10 +247,15 @@ def _run_round(
                 failed[ci] = type(exc).__name__
     finally:
         if timed_out and fork_ok:
-            # A hung fork never drains; reap it so shutdown cannot block.
+            # A hung fork never drains: SIGKILL it (a hung worker may not
+            # act on SIGTERM) so the shutdown below cannot block.
             for proc in list(getattr(executor, "_processes", {}).values()):
-                proc.terminate()
-        executor.shutdown(wait=fork_ok and not timed_out, cancel_futures=True)
+                proc.kill()
+        # Wait for the pool to wind down, so no executor thread outlives
+        # the round: the next round forks, and a fork beside a live thread
+        # can leave the child stuck on a lock that thread held.  Only a
+        # hung thread worker, which cannot be killed, is left behind.
+        executor.shutdown(wait=fork_ok or not timed_out, cancel_futures=True)
         _WORKER_STATE.clear()
     return failed
 

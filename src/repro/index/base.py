@@ -125,7 +125,7 @@ class BatchKNNResult:
     query's start — the paper's per-query measurement), and is bit-identical
     to answering the same queries one at a time through :meth:`VectorIndex.knn`
     with a cache reset before each.  ``wall_seconds`` is the real elapsed
-    time for the whole batch; on vectorized fast paths each query's
+    time for the whole batch; on the shared-scan path each query's
     ``cpu_seconds`` is the batch wall time apportioned equally, since the
     shared-scan kernels have no meaningful per-query wall attribution.
     """
@@ -230,16 +230,17 @@ class VectorIndex(ABC):
         mode: str = "exact",
         rerank_depth: Optional[int] = None,
     ) -> BatchKNNResult:
-        """Answer every query in ``(Q, d)`` ``queries``, sharing work across
-        the batch where the index provides a vectorized fast path.
+        """Answer every query in ``(Q, d)`` ``queries``.
 
         Results (ids, distances) and per-query cost accounting are
         bit-identical to a per-query :meth:`knn` loop under the cold-cache
-        protocol; the fast paths exist purely to amortize per-query Python
-        and small-kernel overhead across the workload.  ``cold_cache=False``
-        falls back to the sequential loop (warm-cache accounting depends on
-        the exact cross-query page interleaving, which a shared scan would
-        change), and so do indexes without a fast path.
+        protocol.  An index whose one search engine can answer a block of
+        queries at once (iDistance's shared scan) overrides
+        :meth:`_knn_batch` and runs the whole block through it, amortizing
+        per-query Python and small-kernel overhead; every other index runs
+        the cold per-query loop.  ``cold_cache=False`` always runs the
+        loop (warm-cache accounting depends on the exact cross-query page
+        interleaving, which a shared scan would change).
 
         The whole call runs under one ``knn.batch`` span; a real ``tracer``
         also gets a ``knn.batch_qps`` gauge.  The index's own counters are
@@ -252,9 +253,9 @@ class VectorIndex(ABC):
 
         ``mode="approx"`` answers every row through the attached
         encoder's scan-then-rerank path (see :meth:`attach_encoder`) via
-        the per-query loop — the vectorized exact fast paths do not
-        apply — under the same cold-cache protocol, so batch answers
-        remain bit-identical to a per-query approx loop.
+        the per-query loop — the shared scan does not apply — under the
+        same cold-cache protocol, so batch answers remain bit-identical to
+        a per-query approx loop.
         """
         queries = np.ascontiguousarray(
             np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -282,8 +283,6 @@ class VectorIndex(ABC):
             valid &= np.linalg.norm(queries, axis=1) > 0.0
         invalid_rows = np.flatnonzero(~valid)
         valid_queries = queries if valid.all() else queries[valid]
-        if self.metric == "cosine":
-            valid_queries = normalize_rows(valid_queries)
         start = time.perf_counter()
         with tracer.span(
             "knn.batch",
@@ -340,6 +339,10 @@ class VectorIndex(ABC):
         """Route pre-validated queries to the fast path or the loop."""
         has_fast_path = type(self)._knn_batch is not VectorIndex._knn_batch
         if has_fast_path and cold_cache and mode == "exact":
+            if self.metric == "cosine":
+                # Only this path normalizes here: the loop's knn normalizes
+                # each row itself, and normalizing twice can move bits.
+                queries = normalize_rows(queries)
             with self.counters.cpu_timer():
                 ids, distances, stats = self._knn_batch(queries, k, tracer)
             wall = time.perf_counter() - start
@@ -366,9 +369,10 @@ class VectorIndex(ABC):
         k: int,
         tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Vectorized batch kernel (cold-cache accounting); subclasses
-        override.  Must return ``(Q, k)`` ids/distances plus per-query stats
-        whose page/distance/key counts equal a cold per-query :meth:`knn`
+        """Whole-block search (cold-cache accounting); subclasses whose
+        search engine runs on a block of queries override.  Must return
+        ``(Q, k)`` ids/distances plus per-query stats whose
+        page/distance/key counts equal a cold per-query :meth:`knn`
         loop bit-for-bit (``cpu_seconds`` may be 0 — the caller apportions
         wall time).  The base implementation is never called (the caller
         routes to :meth:`_knn_batch_loop` when this is not overridden).

@@ -50,11 +50,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.subspace import EllipticalSubspace, OutlierSet
+from ..core.subspace import EllipticalSubspace
 from ..linalg.backend import (
     cold_lru_physical_reads,
     flat_l2,
@@ -63,7 +63,8 @@ from ..linalg.backend import (
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
 from ..btree.tree import BPlusTree
-from ..storage.metrics import CostSnapshot
+from ..storage.buffer import BufferPool
+from ..storage.metrics import CostCounters, CostSnapshot
 from ..storage.pager import PAGE_SIZE, vector_bytes
 from .base import DEFAULT_POOL_PAGES, KNNResult, QueryStats, VectorIndex
 
@@ -102,16 +103,6 @@ class _Partition:
         return np.asarray(query, dtype=np.float64)
 
 
-class _DirectionalScan:
-    """One direction of a partition's expanding scan (entry positions in
-    the partition's sorted arrays, advancing by +1 or -1)."""
-
-    def __init__(self, position: int, step: int) -> None:
-        self.position = position
-        self.step = step
-        self.done = False
-
-
 #: Segment length at or above which the batch scan scores a segment on a
 #: contiguous array view instead of routing it through the shared gather
 #: kernel — long runs pay more for the gather copy than for one numpy call.
@@ -119,14 +110,16 @@ _BATCH_SEG_VIEW_MIN = 256
 
 
 class _QueryLedger:
-    """Per-query cost ledger for the batch engine.
+    """Recording cost sink: one query's costs in a :meth:`knn_batch` block.
 
-    The batch engine never routes I/O through the shared buffer pool —
-    interleaving queries would corrupt each query's cold-cache accounting.
-    Instead every page read the sequential cold query would issue is
-    recorded here in program order as an inclusive page-id range, and
-    :meth:`settle` replays the expanded sequence against an LRU of the
-    pool's capacity to recover the exact logical/physical read counts.
+    A batch never routes I/O through the shared buffer pool — interleaving
+    queries would corrupt each query's cold-cache accounting.  Instead
+    every page read the cold query would issue is recorded here in program
+    order as an inclusive page-id range (tree descents via
+    :meth:`~repro.btree.tree.BPlusTree.descend_path`), and
+    :func:`_settle_ledgers` replays the expanded sequence against an LRU
+    of the pool's capacity to recover the exact logical/physical read
+    counts.
     """
 
     __slots__ = (
@@ -149,14 +142,21 @@ class _QueryLedger:
         self.page_lo.append(lo)
         self.page_hi.append(hi)
 
-    def settle(self, capacity: int) -> Tuple[int, int]:
-        """``(logical_reads, physical_reads)`` under a cold LRU pool."""
-        if not self.page_lo:
-            return 0, 0
-        sequence = self.page_sequence()
-        return int(sequence.size), cold_lru_physical_reads(
-            sequence, capacity
-        )
+    def descend(self, tree: BPlusTree, key: float) -> None:
+        pages, comparisons = tree.descend_path(key)
+        for page in pages:
+            self.read_range(page, page)
+        self.key_comparisons += comparisons
+
+    def count_scan(self, n: int, dims: int) -> None:
+        """``n`` scanned entries: one key comparison and one distance each."""
+        self.key_comparisons += n
+        self.distance_computations += n
+        self.distance_flops += n * dims
+
+    def count_distance(self, n: int, dims: int) -> None:
+        self.distance_computations += n
+        self.distance_flops += n * dims
 
     def page_sequence(self) -> np.ndarray:
         """The full page-read sequence, ranges expanded, in read order."""
@@ -171,12 +171,12 @@ def _settle_ledgers(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(logical, physical)`` read counts for every ledger at once.
 
-    Equivalent to calling :meth:`_QueryLedger.settle` per ledger, but the
-    common case — every query's working set fits the pool, so physical
-    reads = distinct pages — is answered with ONE combined unique over
-    all queries (page ids offset into disjoint per-query blocks).  Only
-    queries whose distinct count exceeds the capacity fall back to the
-    exact per-query LRU replay.
+    Equivalent to an exact cold-LRU replay of each ledger's page
+    sequence, but the common case — every query's working set fits the
+    pool, so physical reads = distinct pages — is answered with ONE
+    combined unique over all queries (page ids offset into disjoint
+    per-query blocks).  Only queries whose distinct count exceeds the
+    capacity fall back to the exact per-query LRU replay.
     """
     n = len(ledgers)
     logical = np.zeros(n, dtype=np.int64)
@@ -209,6 +209,39 @@ def _settle_ledgers(
             ledgers[qi].page_sequence(), capacity
         )
     return logical, physical
+
+
+class _LiveSink:
+    """Live cost sink: the single query of :meth:`ExtendedIDistance.knn`.
+
+    Same interface as :class:`_QueryLedger`, but every cost lands at once:
+    page reads go through the buffer pool one page at a time in the order
+    a ledger would record them (so warm-pool hits, fault retries and mmap
+    fetches happen for real), descents run the live
+    :meth:`~repro.btree.tree.BPlusTree._descend`, and counts go straight
+    into the index's counters.
+    """
+
+    __slots__ = ("pool", "counters")
+
+    def __init__(self, pool: BufferPool, counters: CostCounters) -> None:
+        self.pool = pool
+        self.counters = counters
+
+    def read_range(self, lo: int, hi: int) -> None:
+        read = self.pool.read
+        for page in range(lo, hi + 1):
+            read(page)
+
+    def descend(self, tree: BPlusTree, key: float) -> None:
+        tree._descend(key)
+
+    def count_scan(self, n: int, dims: int) -> None:
+        self.counters.count_key_comparison(n)
+        self.counters.count_distance(n, dims=dims)
+
+    def count_distance(self, n: int, dims: int) -> None:
+        self.counters.count_distance(n, dims=dims)
 
 
 class ExtendedIDistance(VectorIndex):
@@ -571,7 +604,7 @@ class ExtendedIDistance(VectorIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         tracer = ensure_tracer(tracer)
         (ids, distances), stats = self._measured(
-            self._knn_search, query, k, tracer, tracer=tracer, k=k
+            self._knn_live, query, k, tracer, tracer=tracer, k=k
         )
         if tracer.enabled:
             tracer.histogram("knn.candidates_per_query").observe(
@@ -582,262 +615,24 @@ class ExtendedIDistance(VectorIndex):
             )
         return KNNResult(ids=ids, distances=distances, stats=stats)
 
-    def _knn_search(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Tracer = NULL_TRACER,
+    def _knn_live(
+        self, query: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
-        k = min(k, self.live_count)
-        if k <= 0:  # every point deleted — nothing to return
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        # Per-partition query geometry.
-        q_proj: List[np.ndarray] = []
-        q_dist: List[float] = []
-        for partition in self.partitions:
-            proj = partition.project_query(query)
-            q_proj.append(proj)
-            q_dist.append(float(np.linalg.norm(proj - partition.centroid)))
-
-        heap: List[Tuple[float, int]] = []  # max-heap via negated distance
-
-        def kth_best() -> float:
-            return -heap[0][0] if len(heap) == k else np.inf
-
-        def offer(dist: float, rid: int) -> None:
-            if len(heap) < k:
-                heapq.heappush(heap, (-dist, rid))
-            elif dist < -heap[0][0]:
-                heapq.heapreplace(heap, (-dist, rid))
-
-        scans: List[Optional[Tuple[_DirectionalScan, _DirectionalScan]]] = [
-            None
-        ] * len(self.partitions)
-        max_needed = max(
-            (
-                q_dist[p.index] + p.max_radius
-                for p in self.partitions
-                if p.size
-            ),
-            default=0.0,
+        """One query through :meth:`_shared_scan` with the live sink."""
+        ids, distances = self._shared_scan(
+            query[None, :], k, [_LiveSink(self.pool, self.counters)], tracer
         )
-
-        radius = self.radius_step
-        expansions = 0
-        while True:
-            expansions += 1
-            # One span per radius expansion: its cost delta is exactly the
-            # pages/distances this ΔR step paid across every partition.
-            with tracer.span(
-                "knn.expand_radius",
-                counters=self.counters,
-                radius=radius,
-                expansion=expansions,
-            ) as expand_span:
-                for partition in self.partitions:
-                    if partition.size == 0:
-                        continue
-                    with tracer.span(
-                        "knn.probe_partition",
-                        counters=self.counters,
-                        partition=partition.index,
-                        outliers=partition.subspace is None,
-                    ):
-                        self._scan_partition(
-                            partition,
-                            q_proj[partition.index],
-                            q_dist[partition.index],
-                            radius,
-                            scans,
-                            offer,
-                            kth_best,
-                        )
-                if tracer.enabled:
-                    expand_span.set(
-                        heap_size=len(heap), kth_best=kth_best()
-                    )
-            if len(heap) == k and kth_best() <= radius:
-                break
-            if radius > max_needed:
-                break
-            radius += self.radius_step
-        if tracer.enabled:
-            tracer.counter("knn.radius_expansions").inc(expansions)
-            tracer.histogram(
-                "knn.expansions_per_query", buckets=tuple(range(1, 65))
-            ).observe(expansions)
-
-        ordered = sorted((-d, rid) for d, rid in heap)
-        distances = np.array([d for d, _ in ordered])
-        ids = np.array([rid for _, rid in ordered], dtype=np.int64)
-        return ids, distances
-
-    def _scan_partition(
-        self,
-        partition: _Partition,
-        q_proj: np.ndarray,
-        d_i: float,
-        radius: float,
-        scans: List[Optional[Tuple[_DirectionalScan, _DirectionalScan]]],
-        offer,
-        kth_best,
-    ) -> None:
-        """Advance the partition's two directional scans to cover the key
-        interval ``[d_i - radius, d_i + radius]``."""
-        idx = partition.index
-        if scans[idx] is None:
-            # Case 3: no intersection yet — the sphere has not reached the
-            # partition's annulus.  Do not open cursors.
-            if d_i - radius > partition.max_radius:
-                return
-            if d_i + radius < partition.min_radius:
-                return
-            # First contact: position both directions at the entry nearest
-            # the query's own offset (clamped into the annulus, which also
-            # realizes cases 1, 2 and the interior case).  The tree descent
-            # to that leaf is real I/O: internal pages + the landing leaf.
-            seek = min(max(d_i, partition.min_radius), partition.max_radius)
-            self.tree._descend(idx * self.c + seek)
-            pos = int(np.searchsorted(partition.offsets, seek))
-            scans[idx] = (
-                _DirectionalScan(pos - 1, -1),  # inward/leftward
-                _DirectionalScan(pos, +1),  # outward/rightward
-            )
-            # Dynamically inserted entries (the delta store) are few; score
-            # them all on first contact, charging their pages.
-            if partition.delta_rids:
-                for page in partition.delta_pages:
-                    self.pool.read(page)
-                block = np.vstack(partition.delta_vectors)
-                dists = np.linalg.norm(block - q_proj, axis=1)
-                self.counters.count_distance(
-                    block.shape[0], dims=max(1, block.shape[1])
-                )
-                tombs = getattr(self, "_tombstones", ())
-                for dist, rid in zip(dists, partition.delta_rids):
-                    if rid in tombs:
-                        continue
-                    offer(float(dist), int(rid))
-        inward, outward = scans[idx]
-        bound = min(radius, kth_best())
-        self._advance(partition, q_proj, d_i, bound, inward, offer, kth_best)
-        self._advance(partition, q_proj, d_i, bound, outward, offer, kth_best)
-
-    def _advance(
-        self,
-        partition: _Partition,
-        q_proj: np.ndarray,
-        d_i: float,
-        bound: float,
-        scan: _DirectionalScan,
-        offer,
-        kth_best,
-    ) -> None:
-        """Consume, in one vectorized block, every not-yet-visited entry in
-        this direction whose key offset is within ``bound`` of ``d_i``.
-
-        The offsets are sorted, so the block boundary is a binary search
-        (one key comparison charged per entry, as a literal scan would do);
-        the block's leaf pages and data pages are read through the buffer
-        pool, and its vectors are scored in a single numpy call.
-        """
-        if scan.done:
-            return
-        offsets = partition.offsets
-        if scan.step > 0:
-            lo = scan.position
-            if lo >= offsets.size:
-                scan.done = True
-                return
-            hi = int(np.searchsorted(offsets, d_i + bound, side="right"))
-            if hi <= lo:
-                return  # resumes if the bound grows next iteration
-            positions = np.arange(lo, hi)
-            scan.position = hi
-            if hi >= offsets.size:
-                scan.done = True
-        else:
-            hi = scan.position  # inclusive
-            if hi < 0:
-                scan.done = True
-                return
-            lo = int(np.searchsorted(offsets, d_i - bound, side="left"))
-            if lo > hi:
-                return
-            positions = np.arange(lo, hi + 1)
-            scan.position = lo - 1
-            if lo == 0:
-                scan.done = True
-
-        # I/O: the B+-tree leaf pages covering these entries, then the data
-        # pages holding their reduced vectors.  Both are contiguous runs
-        # (entries are rank-ordered; partition data pages were allocated
-        # consecutively), so the distinct pages are just the endpoints'
-        # range.  The LRU pool dedups pages revisited across blocks.
-        rank_lo = int(self._rank_base[partition.index]) + int(positions[0])
-        rank_hi = int(self._rank_base[partition.index]) + int(positions[-1])
-        for leaf_idx in range(
-            rank_lo // self._leaf_fill, rank_hi // self._leaf_fill + 1
-        ):
-            self.pool.read(int(self._leaf_pages[leaf_idx]))
-        for page in range(
-            int(partition.page_of_entry[positions[0]]),
-            int(partition.page_of_entry[positions[-1]]) + 1,
-        ):
-            self.pool.read(page)
-
-        self.counters.count_key_comparison(positions.size)
-        block = partition.vectors[positions]
-        dists = np.linalg.norm(block - q_proj, axis=1)
-        self.counters.count_distance(
-            positions.size, dims=max(1, block.shape[1])
-        )
-        rids = partition.rids[positions]
-        tombs = self._tombstone_array()
-        if tombs.size:
-            alive = ~np.isin(rids, tombs)
-            dists, rids = dists[alive], rids[alive]
-        # Pre-filter: a candidate at or beyond the current K-th best can
-        # never enter the heap (the bound only tightens).
-        current = kth_best()
-        if np.isfinite(current):
-            keep = dists < current
-            dists, rids = dists[keep], rids[keep]
-        for dist, rid in zip(dists, rids):
-            offer(float(dist), int(rid))
-
-    # ------------------------------------------------------------------
-    # batched execution
-    # ------------------------------------------------------------------
+        return ids[0], distances[0]
 
     def _knn_batch(
         self, queries: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Shared-scan batch engine, bit-identical to a cold :meth:`knn` loop.
+        """A cold-cache block through :meth:`_shared_scan`, one recording
+        sink per query, bit-identical to a cold :meth:`knn` loop.
 
-        Every query expands its search radius in lockstep.  Per partition
-        and radius step, the still-active queries' directional block
-        boundaries come from *vectorized* searchsorted calls (same float
-        comparisons as the sequential binary searches), and all of their
-        not-yet-visited candidates are scored by ONE gather kernel —
-        ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
-        the last axis — whose entries are bit-identical to the sequential
-        per-block norms (see :mod:`repro.linalg.kernels`).  Only top-K heap
-        maintenance stays per query, consuming each query's segments in the
-        sequential order (inward then outward, ascending positions, with
-        the k-th-best pre-filter refreshed between segments) so heap tie
-        behavior is preserved exactly.
-
-        I/O is not replayed through the shared buffer pool — interleaving
-        queries would corrupt the per-query cold-cache page accounting.
-        Each query instead logs its page-read sequence in a
-        :class:`_QueryLedger` (tree descents replayed via
-        :meth:`~repro.btree.tree.BPlusTree.descend_path`) and settles it
-        against an exact LRU replay at the end; the batch totals are then
-        folded into the index's own counters.
+        Each query's recorded page sequence is settled against an exact
+        LRU replay at the end; the batch totals are then folded into the
+        index's own counters.
         """
         n_queries = queries.shape[0]
         if n_queries == 0:
@@ -846,16 +641,75 @@ class ExtendedIDistance(VectorIndex):
                 np.empty((0, 0), dtype=np.float64),
                 [],
             )
+        ledgers = [_QueryLedger() for _ in range(n_queries)]
+        ids, distances = self._shared_scan(queries, k, ledgers, tracer)
+        with tracer.span("knn.batch.settle", n_queries=n_queries):
+            logical, physical = _settle_ledgers(
+                ledgers, self.pool.capacity_pages
+            )
+            stats = [
+                QueryStats(
+                    page_reads=int(reads),
+                    distance_computations=led.distance_computations,
+                    distance_flops=led.distance_flops,
+                    key_comparisons=led.key_comparisons,
+                    cpu_seconds=0.0,
+                )
+                for reads, led in zip(physical.tolist(), ledgers)
+            ]
+        self.counters.merge(
+            CostSnapshot(
+                logical_reads=int(logical.sum()),
+                physical_reads=int(physical.sum()),
+                key_comparisons=sum(s.key_comparisons for s in stats),
+                distance_computations=sum(
+                    s.distance_computations for s in stats
+                ),
+                distance_flops=sum(s.distance_flops for s in stats),
+            )
+        )
+        return ids, distances, stats
+
+    def _shared_scan(
+        self,
+        queries: np.ndarray,
+        k: int,
+        sinks: List[Union[_QueryLedger, _LiveSink]],
+        tracer: Tracer,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The search engine: exact KNN for every row of ``queries``.
+
+        Every query expands its search radius in lockstep.  Per partition
+        and radius step, the still-active queries' directional block
+        boundaries come from *vectorized* searchsorted calls, and their
+        short not-yet-visited segments are scored by ONE gather kernel —
+        ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
+        the last axis — whose entries are bit-identical to per-block norms
+        (see :mod:`repro.linalg.kernels`); long segments, and every
+        segment of a lone query, are scored on contiguous views with the
+        same arithmetic.  Only top-K heap maintenance stays per query,
+        consuming each query's segments in scan order (inward then
+        outward, ascending positions, with the k-th-best pre-filter
+        refreshed between segments) so heap tie behavior is fixed.
+
+        Costs go to ``sinks`` (one per query): a :class:`_QueryLedger`
+        records them for :meth:`_knn_batch` to settle, a :class:`_LiveSink`
+        pays them at once for :meth:`knn`.  Live mode runs one query and
+        emits ``knn.expand_radius`` / ``knn.probe_partition`` spans with
+        cost deltas (what :meth:`explain` breaks down); recording mode
+        emits the ``knn.batch.*`` spans.
+        """
+        n_queries = queries.shape[0]
         k_eff = min(k, self.live_count)
         if k_eff <= 0:  # every point deleted — nothing to return
-            zero = QueryStats(0, 0, 0, 0, 0.0)
             return (
                 np.empty((n_queries, 0), dtype=np.int64),
                 np.empty((n_queries, 0), dtype=np.float64),
-                [zero] * n_queries,
             )
+        live = isinstance(sinks[0], _LiveSink)
         n_parts = len(self.partitions)
         tombs = self._tombstone_array()
+        last_tomb = tombs.size - 1
         tomb_set = getattr(self, "_tombstones", ())
 
         # Per-partition query geometry.  Projections stay per-query gemv
@@ -864,7 +718,7 @@ class ExtendedIDistance(VectorIndex):
         # partition so the scan kernels can index rows by query.
         q_proj: List[np.ndarray] = []
         q_dist = np.empty((n_parts, n_queries), dtype=np.float64)
-        with tracer.span(
+        with (NULL_TRACER if live else tracer).span(
             "knn.batch.project_queries",
             n_queries=n_queries,
             partitions=n_parts,
@@ -895,19 +749,19 @@ class ExtendedIDistance(VectorIndex):
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 q_proj.append(block)
 
-        # Frozen copies of each partition's delta store (dynamic inserts).
-        delta_blocks: List[Optional[np.ndarray]] = [
-            np.vstack(p.delta_vectors) if p.delta_rids else None
-            for p in self.partitions
-        ]
+        # Stacked copies of the partitions' delta stores (dynamic inserts),
+        # built on a partition's first contact.
+        delta_blocks: Dict[int, np.ndarray] = {}
 
         sizes = np.array(
             [p.size for p in self.partitions], dtype=np.int64
         )
-        live = sizes > 0
-        if live.any():
+        nonempty = sizes > 0
+        if nonempty.any():
             radii = np.array([p.max_radius for p in self.partitions])
-            max_needed = (q_dist[live] + radii[live, None]).max(axis=0)
+            max_needed = (
+                q_dist[nonempty] + radii[nonempty, None]
+            ).max(axis=0)
         else:
             max_needed = np.zeros(n_queries)
 
@@ -927,7 +781,6 @@ class ExtendedIDistance(VectorIndex):
         contacted = np.zeros((n_parts, n_queries), dtype=bool)
         in_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
         out_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
-        ledgers = [_QueryLedger() for _ in range(n_queries)]
         total_expansions = 0
 
         leaf_pages = self._leaf_pages
@@ -949,8 +802,7 @@ class ExtendedIDistance(VectorIndex):
             width_charge = max(1, partition.vectors.shape[1])
 
             # First contact per query: the annulus-intersection gate, the
-            # tree descent to the seek leaf, and the delta-store scoring —
-            # identical to the sequential scan's cursor opening.
+            # tree descent to the seek leaf, and the delta-store scoring.
             fresh = act[~contacted[p, act]]
             if fresh.size:
                 d_f = q_dist[p, fresh]
@@ -959,29 +811,26 @@ class ExtendedIDistance(VectorIndex):
                 )
                 for qi in fresh[touch].tolist():
                     d_i = float(q_dist[p, qi])
-                    led = ledgers[qi]
+                    sink = sinks[qi]
                     seek = min(
                         max(d_i, partition.min_radius),
                         partition.max_radius,
                     )
-                    pages, comps = self.tree.descend_path(
-                        p * self.c + seek
-                    )
-                    for page in pages:
-                        led.read_range(page, page)
-                    led.key_comparisons += comps
+                    sink.descend(self.tree, p * self.c + seek)
                     pos = int(np.searchsorted(offsets, seek))
                     in_pos[p, qi] = pos - 1
                     out_pos[p, qi] = pos
                     contacted[p, qi] = True
                     if partition.delta_rids:
                         for page in partition.delta_pages:
-                            led.read_range(page, page)
-                        dblock = delta_blocks[p]
+                            sink.read_range(page, page)
+                        dblock = delta_blocks.get(p)
+                        if dblock is None:
+                            dblock = np.vstack(partition.delta_vectors)
+                            delta_blocks[p] = dblock
                         ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
-                        led.distance_computations += dblock.shape[0]
-                        led.distance_flops += dblock.shape[0] * max(
-                            1, dblock.shape[1]
+                        sink.count_distance(
+                            dblock.shape[0], max(1, dblock.shape[1])
                         )
                         heap = heaps[qi]
                         if heap_lazy[qi]:
@@ -1007,8 +856,8 @@ class ExtendedIDistance(VectorIndex):
             d_vec = q_dist[p, sub]
             # Per-query search bound, then both directions' block
             # boundaries, all in four vectorized searchsorted/compare ops.
-            # Position bookkeeping mirrors _advance exactly: an exhausted
-            # direction parks at -1 (inward) or bulk (outward).
+            # An exhausted direction parks at -1 (inward) or bulk
+            # (outward).
             bound = np.minimum(radius, kth[sub])
             i_hi = in_pos[p, sub]  # inclusive
             i_lo = np.searchsorted(offsets, d_vec - bound, side="left")
@@ -1026,8 +875,8 @@ class ExtendedIDistance(VectorIndex):
             out_pos[p, sub[o_has]] = o_hi[o_has]
 
             # Interleave [inward, outward] segments per query.  Long
-            # segments are scored per segment on contiguous views (the
-            # very op the sequential scan runs — no gather copies);
+            # segments are scored per segment on contiguous views (no
+            # gather copies);
             # everything shorter is batched into ONE gather kernel so
             # small per-query slabs don't pay numpy call overhead each.
             starts = np.column_stack([in_start, out_start]).ravel()
@@ -1035,18 +884,20 @@ class ExtendedIDistance(VectorIndex):
             lens = stops - starts
             if not lens.any():
                 return
-            small = lens < _BATCH_SEG_VIEW_MIN
-            small_lens = np.where(small, lens, 0)
-            flat = multi_arange(starts, np.where(small, stops, starts))
-            if flat.size:
+            # A lone query has nothing to share a gather with: all of its
+            # segments are scored on views.
+            small = lens < (_BATCH_SEG_VIEW_MIN if sub.size > 1 else 0)
+            if small.any():
+                small_lens = np.where(small, lens, 0)
+                flat = multi_arange(starts, np.where(small, stops, starts))
                 entry_q = np.repeat(np.repeat(sub, 2), small_lens)
                 dists_flat = flat_l2(
                     partition.vectors, flat, Qp, entry_q
                 )
                 rids_flat = partition.rids[flat]
-            seg_start = np.concatenate(
-                [[0], np.cumsum(small_lens)[:-1]]
-            )
+                seg_start_list = np.concatenate(
+                    [[0], np.cumsum(small_lens)[:-1]]
+                ).tolist()
             vectors = partition.vectors
             rids_all = partition.rids
             rank0 = int(self._rank_base[p])
@@ -1071,22 +922,21 @@ class ExtendedIDistance(VectorIndex):
             lens_list = lens.tolist()
             starts_list = starts.tolist()
             small_list = small.tolist()
-            seg_start_list = seg_start.tolist()
             sub_list = sub.tolist()
 
             per_q = lens[0::2] + lens[1::2]
             for j in np.flatnonzero(per_q > 0).tolist():
                 qi = sub_list[j]
-                led = ledgers[qi]
+                sink = sinks[qi]
                 heap = heaps[qi]
                 for seg in (2 * j, 2 * j + 1):
                     ln = lens_list[seg]
                     if ln == 0:
                         continue
-                    # I/O replay: the leaf run covering the block's entry
-                    # ranks, then its contiguous data-page run.
+                    # I/O: the leaf run covering the block's entry ranks,
+                    # then its contiguous data-page run.
                     if leaf_runs:
-                        led.read_range(
+                        sink.read_range(
                             leaf_lo_list[seg], leaf_hi_list[seg]
                         )
                     else:
@@ -1094,11 +944,9 @@ class ExtendedIDistance(VectorIndex):
                             leaf_a_list[seg], leaf_b_list[seg] + 1
                         ):
                             page = int(leaf_pages[leaf_idx])
-                            led.read_range(page, page)
-                    led.read_range(pg_lo_list[seg], pg_hi_list[seg])
-                    led.key_comparisons += ln
-                    led.distance_computations += ln
-                    led.distance_flops += ln * width_charge
+                            sink.read_range(page, page)
+                    sink.read_range(pg_lo_list[seg], pg_hi_list[seg])
+                    sink.count_scan(ln, width_charge)
                     if small_list[seg]:
                         s0 = seg_start_list[seg]
                         seg_d = dists_flat[s0 : s0 + ln]
@@ -1117,11 +965,14 @@ class ExtendedIDistance(VectorIndex):
                         np.sqrt(seg_d, out=seg_d)
                         seg_r = rids_all[lo_pos : lo_pos + ln]
                     if tombs.size:
-                        alive = ~np.isin(seg_r, tombs)
+                        # Membership in the sorted tombstone array (np.isin
+                        # costs tens of microseconds a call at any size).
+                        hit = np.searchsorted(tombs, seg_r)
+                        alive = tombs[np.minimum(hit, last_tomb)] != seg_r
                         seg_d = seg_d[alive]
                         seg_r = seg_r[alive]
                     # kth[qi] is maintained at every heap mutation, so it
-                    # IS the sequential path's "current k-th best" here.
+                    # IS the query's current k-th best here.
                     current = kth[qi]
                     if current != np.inf:
                         keep = seg_d < current
@@ -1181,64 +1032,64 @@ class ExtendedIDistance(VectorIndex):
                         -heap[0][0] if len(heap) == k_eff else np.inf
                     )
 
+
+        def expand(act: np.ndarray) -> None:
+            for partition in self.partitions:
+                if partition.size == 0:
+                    continue
+                if not live:
+                    probe(partition, act)
+                    continue
+                with tracer.span(
+                    "knn.probe_partition",
+                    counters=self.counters,
+                    partition=partition.index,
+                    outliers=partition.subspace is None,
+                ):
+                    probe(partition, act)
+
         while True:
             act = np.flatnonzero(active)
             if act.size == 0:
                 break
             total_expansions += act.size
-            with tracer.span(
-                "knn.batch.expand_radius",
-                radius=radius,
-                active_queries=int(act.size),
-            ):
-                for partition in self.partitions:
-                    if partition.size == 0:
-                        continue
-                    probe(partition, act)
+            if live:
+                # One span per radius expansion: its cost delta is exactly
+                # the pages/distances this ΔR step paid across partitions.
+                with tracer.span(
+                    "knn.expand_radius",
+                    counters=self.counters,
+                    radius=radius,
+                    expansion=total_expansions,
+                ) as expand_span:
+                    expand(act)
+                    if tracer.enabled:
+                        expand_span.set(
+                            heap_size=len(heaps[0]), kth_best=float(kth[0])
+                        )
+            else:
+                with tracer.span(
+                    "knn.batch.expand_radius",
+                    radius=radius,
+                    active_queries=int(act.size),
+                ):
+                    expand(act)
             done = (np.isfinite(kth[act]) & (kth[act] <= radius)) | (
                 radius > max_needed[act]
             )
             active[act[done]] = False
             radius += self.radius_step
-
-        # Settle: per-query LRU replay of the recorded page sequences,
-        # per-query result ordering, and one fold of the batch totals into
-        # the index's counters.
-        capacity = self.pool.capacity_pages
-        stats: List[QueryStats] = []
-        ids = np.empty((n_queries, k_eff), dtype=np.int64)
-        distances = np.empty((n_queries, k_eff), dtype=np.float64)
-        with tracer.span("knn.batch.settle", n_queries=n_queries):
-            logical, physical = _settle_ledgers(ledgers, capacity)
-            for qi in range(n_queries):
-                led = ledgers[qi]
-                ordered = sorted((-d, rid) for d, rid in heaps[qi])
-                ids[qi] = [rid for _, rid in ordered]
-                distances[qi] = [d for d, _ in ordered]
-                stats.append(
-                    QueryStats(
-                        page_reads=int(physical[qi]),
-                        distance_computations=led.distance_computations,
-                        distance_flops=led.distance_flops,
-                        key_comparisons=led.key_comparisons,
-                        cpu_seconds=0.0,
-                    )
-                )
-        self.counters.merge(
-            CostSnapshot(
-                logical_reads=int(logical.sum()),
-                physical_reads=int(physical.sum()),
-                key_comparisons=sum(
-                    led.key_comparisons for led in ledgers
-                ),
-                distance_computations=sum(
-                    led.distance_computations for led in ledgers
-                ),
-                distance_flops=sum(
-                    led.distance_flops for led in ledgers
-                ),
-            )
-        )
         if tracer.enabled:
             tracer.counter("knn.radius_expansions").inc(total_expansions)
-        return ids, distances, stats
+            if live:
+                tracer.histogram(
+                    "knn.expansions_per_query", buckets=tuple(range(1, 65))
+                ).observe(total_expansions)
+
+        ids = np.empty((n_queries, k_eff), dtype=np.int64)
+        distances = np.empty((n_queries, k_eff), dtype=np.float64)
+        for qi, heap in enumerate(heaps):
+            ordered = sorted((-d, rid) for d, rid in heap)
+            ids[qi] = [rid for _, rid in ordered]
+            distances[qi] = [d for d, _ in ordered]
+        return ids, distances

@@ -20,12 +20,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..linalg.backend import batch_l2_rows
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
-from ..storage.metrics import CostSnapshot
 from ..storage.pager import pages_for_vectors, rows_per_page
-from .base import DEFAULT_POOL_PAGES, KNNResult, QueryStats, VectorIndex
+from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
 from .dynamic import DeltaStore, route_point
 
 __all__ = ["SequentialScan"]
@@ -249,118 +247,3 @@ class SequentialScan(VectorIndex):
         order = np.argsort(distances[top])
         best = top[order]
         return ids[best], distances[best]
-
-    # ------------------------------------------------------------------
-    # batched execution
-    # ------------------------------------------------------------------
-
-    def _knn_batch(self, queries: np.ndarray, k: int, tracer: Tracer):
-        """One-shot full-matrix scan for the whole workload.
-
-        Every subspace contributes a single ``(Q, m)`` distance block
-        (bit-identical per row to the per-query scan — see
-        :mod:`repro.linalg.kernels`); top-K selection runs the same
-        argpartition/argsort pair row-wise.  Queries are still projected
-        one at a time with the per-query gemv the sequential path uses,
-        because a gemm over the stacked queries is *not* bit-identical.
-        Delta entries are likewise scored with the *same* per-entry norm
-        the sequential scan issues, and tombstoned columns are dropped
-        before selection exactly as the sequential path drops them.
-        """
-        n_queries = queries.shape[0]
-        k = min(k, self.live_count)
-        if k <= 0:  # every point deleted — nothing to return
-            zero = QueryStats(0, 0, 0, 0, 0.0)
-            return (
-                np.empty((n_queries, 0), dtype=np.int64),
-                np.empty((n_queries, 0), dtype=np.float64),
-                [zero] * n_queries,
-            )
-        distance_computations = 0
-        distance_flops = 0
-        dist_blocks: List[np.ndarray] = []
-        id_chunks: List[np.ndarray] = []
-        q_proj_blocks: List[np.ndarray] = []
-        with tracer.span(
-            "knn.sequential_scan_batch",
-            counters=self.counters,
-            n_queries=n_queries,
-            pages=self.total_scan_pages,
-        ):
-            for subspace in self.reduced.subspaces:
-                q_proj = np.empty(
-                    (n_queries, subspace.reduced_dim), dtype=np.float64
-                )
-                for i in range(n_queries):
-                    q_proj[i] = subspace.project(queries[i])
-                q_proj_blocks.append(q_proj)
-                dist_blocks.append(
-                    batch_l2_rows(subspace.projections, q_proj)
-                )
-                id_chunks.append(subspace.member_ids)
-                distance_computations += subspace.size
-                distance_flops += subspace.size * subspace.reduced_dim
-            outliers = self.reduced.outliers
-            if outliers.size:
-                dist_blocks.append(batch_l2_rows(outliers.points, queries))
-                id_chunks.append(outliers.member_ids)
-                distance_computations += outliers.size
-                distance_flops += (
-                    outliers.size * self.reduced.dimensionality
-                )
-            if len(self.delta):
-                dblock = np.empty(
-                    (n_queries, len(self.delta)), dtype=np.float64
-                )
-                for i in range(n_queries):
-                    for j, (vec, _, sidx) in enumerate(
-                        self.delta.entries()
-                    ):
-                        ref = (
-                            q_proj_blocks[sidx][i]
-                            if sidx >= 0
-                            else queries[i]
-                        )
-                        dblock[i, j] = float(np.linalg.norm(vec - ref))
-                dist_blocks.append(dblock)
-                id_chunks.append(
-                    np.asarray(self.delta.rids, dtype=np.int64)
-                )
-                distance_computations += len(self.delta)
-                distance_flops += sum(
-                    max(1, vec.size) for vec in self.delta.vectors
-                )
-
-            ids = np.concatenate(id_chunks)
-            distances = np.concatenate(
-                [np.atleast_2d(b) for b in dist_blocks], axis=1
-            )
-            tombs = self._tombstone_array()
-            if tombs.size:
-                alive = ~np.isin(ids, tombs)
-                ids = ids[alive]
-                distances = distances[:, alive]
-            top = np.argpartition(distances, k - 1, axis=1)[:, :k]
-            gathered = np.take_along_axis(distances, top, axis=1)
-            order = np.argsort(gathered, axis=1)
-            best = np.take_along_axis(top, order, axis=1)
-            best_ids = ids[best]
-            best_dists = np.take_along_axis(distances, best, axis=1)
-
-            per_query = QueryStats(
-                page_reads=self.total_scan_pages,
-                distance_computations=distance_computations,
-                distance_flops=distance_flops,
-                key_comparisons=0,
-                cpu_seconds=0.0,
-            )
-            self.counters.merge(
-                CostSnapshot(
-                    sequential_reads=self.total_scan_pages * n_queries,
-                    distance_computations=(
-                        distance_computations * n_queries
-                    ),
-                    distance_flops=distance_flops * n_queries,
-                )
-            )
-        return best_ids, best_dists, [per_query] * n_queries

@@ -11,6 +11,8 @@ the pid recorded at construction), so the in-process fallback always
 succeeds — mirroring real crashes, which kill workers, not the coordinator.
 """
 
+import concurrent.futures
+import concurrent.futures.process
 import multiprocessing
 import os
 import signal
@@ -91,6 +93,17 @@ class SabotagedIndex:
             time.sleep(600)
 
 
+class _BreaksAfterOneSubmit(concurrent.futures.ProcessPoolExecutor):
+    """A pool whose worker dies before the second chunk is queued: every
+    submit after the first finds the pool already broken."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        if getattr(self, "_submitted", False):
+            raise concurrent.futures.process.BrokenProcessPool("worker died")
+        self._submitted = True
+        return super().submit(fn, *args, **kwargs)
+
+
 def reference(index, workload):
     res = index.knn_batch(workload.queries, workload.k)
     return res.ids, res.distances, list(res.stats)
@@ -151,6 +164,23 @@ class TestDegradationLadder:
         assert tracer.metrics.counters[
             "harness.degraded_chunks"
         ].value == 2
+
+    def test_pool_broken_between_submits_retries_the_chunk(
+        self, reduced, workload, monkeypatch
+    ):
+        ref = reference(SequentialScan(reduced), workload)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _BreaksAfterOneSubmit
+        )
+        tracer = Tracer()
+        got = run_workload(
+            SequentialScan(reduced), workload, workers=2, tracer=tracer
+        )
+        assert_complete_and_identical(ref, got)
+        counters = tracer.metrics.counters
+        assert counters["harness.worker_failures"].value == 1
+        assert counters["harness.chunk_retries"].value == 1
+        assert "harness.degraded_chunks" not in counters
 
     def test_run_query_batch_survives_kills(self, reduced, workload):
         clean_cost = run_query_batch(
