@@ -719,6 +719,19 @@ class VectorIndex(ABC):
             self._tomb_cache = cache
         return cache
 
+    def _alive_mask(self, rids: np.ndarray) -> Optional[np.ndarray]:
+        """Boolean mask of the entries of ``rids`` that are not deleted,
+        or ``None`` when nothing is deleted (no filtering needed).
+
+        Membership runs as a ``searchsorted`` into the sorted tombstone
+        array: ``np.isin`` costs tens of microseconds a call at any size.
+        """
+        tombs = self._tombstone_array()
+        if not tombs.size:
+            return None
+        hit = np.minimum(np.searchsorted(tombs, rids), tombs.size - 1)
+        return tombs[hit] != rids
+
     @property
     def size_pages(self) -> int:
         """Total pages the index occupies."""

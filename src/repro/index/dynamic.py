@@ -12,11 +12,12 @@ reorganize the bulk layout.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..reduction.base import ReducedDataset
+from ..storage.metrics import CostCounters
 from ..storage.pager import PAGE_SIZE, PageStore, vector_bytes
 
 __all__ = ["DeltaStore", "route_point"]
@@ -98,6 +99,27 @@ class DeltaStore:
     def entries(self):
         """Iterate ``(vector, rid, subspace_id)`` in insertion order."""
         return zip(self.vectors, self.rids, self.subspace_ids)
+
+    def distances(
+        self,
+        query: np.ndarray,
+        q_projs: Sequence[np.ndarray],
+        counters: CostCounters,
+    ) -> np.ndarray:
+        """Distance from the query to every entry, in insertion order.
+
+        An entry routed to subspace ``s`` is scored against the query's
+        projection ``q_projs[s]``; a full-dimensional entry against the
+        query itself.  Each is one 1-D ``np.linalg.norm`` (``x.dot(x)``
+        under the hood, which a batched matrix norm would not reproduce
+        bit for bit), charged to ``counters`` at the entry's width.
+        """
+        out = np.empty(len(self.rids), dtype=np.float64)
+        for j, (vec, sidx) in enumerate(zip(self.vectors, self.subspace_ids)):
+            ref = q_projs[sidx] if sidx >= 0 else query
+            out[j] = float(np.linalg.norm(vec - ref))
+            counters.count_distance(1, dims=max(1, vec.size))
+        return out
 
     # -- recovery support ------------------------------------------------
 

@@ -27,7 +27,7 @@ from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors, rows_per_page
 from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
 from .dynamic import DeltaStore, route_point
-from .hybrid_tree import HybridTree
+from .hybrid_tree import HybridTree, offer_block
 
 __all__ = ["GlobalLDRIndex"]
 
@@ -194,15 +194,12 @@ class GlobalLDRIndex(VectorIndex):
             for i in range(len(self.trees))
         ]
         results: List[Tuple[float, int]] = []  # max-heap via negation
-        tombs = getattr(self, "_tombstones", ())
 
-        def offer(dist: float, rid: int) -> None:
-            if rid in tombs:
-                return
-            if len(results) < k:
-                heapq.heappush(results, (-dist, rid))
-            elif dist < -results[0][0]:
-                heapq.heapreplace(results, (-dist, rid))
+        def offer(dists: np.ndarray, rids: np.ndarray) -> None:
+            alive = self._alive_mask(rids)
+            if alive is not None:
+                dists, rids = dists[alive], rids[alive]
+            offer_block(results, k, dists, rids)
 
         # Outliers first: their exact distances tighten the global bound
         # before any tree is descended.
@@ -214,12 +211,29 @@ class GlobalLDRIndex(VectorIndex):
                 outliers=int(outliers.size),
             ):
                 self.counters.count_sequential_read(self.outlier_pages)
-                dists = np.linalg.norm(outliers.points - query, axis=1)
+                # np.linalg.norm(points - query, axis=1), op for op, with
+                # one temporary instead of three.
+                diff = outliers.points - query
+                np.multiply(diff, diff, out=diff)
+                dists = np.add.reduce(diff, axis=1)
+                np.sqrt(dists, out=dists)
                 self.counters.count_distance(
                     outliers.size, dims=self.reduced.dimensionality
                 )
-                for dist, rid in zip(dists, outliers.member_ids):
-                    offer(float(dist), int(rid))
+                rids = outliers.member_ids
+                alive = self._alive_mask(rids)
+                if alive is not None:
+                    dists, rids = dists[alive], rids[alive]
+                if dists.size > k:
+                    # The heap is empty here, so offering every outlier
+                    # leaves exactly the rows at or below the k-th
+                    # smallest distance: keep them all (ties included)
+                    # and offer them in scan order — the same heap,
+                    # tie rule and all.
+                    cut = np.partition(dists, k - 1)[k - 1]
+                    keep = dists <= cut
+                    dists, rids = dists[keep], rids[keep]
+                offer_block(results, k, dists, rids)
 
         # Delta store next (few entries; exact distances, like outliers):
         # scoring it before the trees tightens the bound further.
@@ -232,13 +246,10 @@ class GlobalLDRIndex(VectorIndex):
             ):
                 for page in delta.pages:
                     self.pool.read(page)
-                for vec, rid, sidx in delta.entries():
-                    ref = q_proj[sidx] if sidx >= 0 else query
-                    dist = float(np.linalg.norm(vec - ref))
-                    self.counters.count_distance(
-                        1, dims=max(1, vec.size)
-                    )
-                    offer(dist, int(rid))
+                offer(
+                    delta.distances(query, q_proj, self.counters),
+                    np.asarray(delta.rids, dtype=np.int64),
+                )
 
         # One global frontier across every cluster's tree.
         frontier: List[Tuple[float, int, int]] = []

@@ -37,7 +37,12 @@ from ..storage.buffer import BufferPool
 from ..storage.pager import PAGE_SIZE, POINTER_SIZE, RID_SIZE, PageStore, vector_bytes
 from ..storage.metrics import CostCounters
 
-__all__ = ["HybridTree", "hybrid_internal_fanout", "hybrid_leaf_capacity"]
+__all__ = [
+    "HybridTree",
+    "hybrid_internal_fanout",
+    "hybrid_leaf_capacity",
+    "offer_block",
+]
 
 
 def hybrid_internal_fanout(dimensionality: int) -> int:
@@ -51,6 +56,32 @@ def hybrid_leaf_capacity(dimensionality: int) -> int:
     """Vectors per leaf page: vector payload plus a record id each."""
     entry_bytes = vector_bytes(dimensionality) + RID_SIZE
     return max(1, PAGE_SIZE // entry_bytes)
+
+
+def offer_block(
+    heap: List[Tuple[float, int]],
+    k: int,
+    dists: np.ndarray,
+    rids: np.ndarray,
+) -> None:
+    """Offer a block of candidates, in order, to a top-``k`` max-heap of
+    ``(-dist, rid)`` tuples.
+
+    Each candidate enters while the heap has room, else replaces the
+    current k-th best when strictly closer.  A full heap's bound only
+    tightens, so rows at or beyond it on entry would all be rejected:
+    they are dropped in numpy first, and only real contenders reach the
+    Python loop.  The heap ends with exactly the content a one-at-a-time
+    offer of every row would leave, tie rule included.
+    """
+    if len(heap) == k:
+        keep = dists < -heap[0][0]
+        dists, rids = dists[keep], rids[keep]
+    for dist, rid in zip(dists.tolist(), rids.tolist()):
+        if len(heap) < k:
+            heapq.heappush(heap, (-dist, rid))
+        elif dist < -heap[0][0]:
+            heapq.heapreplace(heap, (-dist, rid))
 
 
 @dataclass
@@ -210,23 +241,29 @@ class HybridTree:
         page_id: int,
         q: np.ndarray,
         push: Callable[[float, int], None],
-        offer: Callable[[float, int], None],
+        offer: Callable[[np.ndarray, np.ndarray], None],
     ) -> None:
         """Process one node: push children (with MINDIST) or score a leaf.
 
         ``push(mindist, child_page)`` enqueues internal work;
-        ``offer(distance, rid)`` reports candidate neighbors.
+        ``offer(dists, rids)`` reports a leaf's candidate neighbors as one
+        block (float64 distances, int64 rids, in leaf order) so the caller
+        can filter them in numpy before touching its result heap.
         Every child-rectangle MINDIST and every leaf-vector distance is a
         d_r-dimensional L-norm, counted as a distance computation.
         """
         node = self.pool.read(page_id)
         if node.is_leaf:
             rows = node.rows
-            block = self.vectors[rows]
-            dists = np.linalg.norm(block - q, axis=1)
+            # np.linalg.norm(block - q, axis=1) is sqrt(add.reduce(x*x,
+            # axis=1)): the same ops in place on the gathered copy.
+            diff = self.vectors[rows]
+            diff -= q
+            np.multiply(diff, diff, out=diff)
+            dists = np.add.reduce(diff, axis=1)
+            np.sqrt(dists, out=dists)
             self.counters.count_distance(rows.size, dims=self.dimensionality)
-            for dist, row in zip(dists, rows):
-                offer(float(dist), int(self.rids[row]))
+            offer(dists, self.rids[rows])
             return
         clipped = np.clip(q, node.rect_lo, node.rect_hi)
         mindists = np.linalg.norm(clipped - q, axis=1)
@@ -248,11 +285,8 @@ class HybridTree:
             (self.root_mindist(q), self.root_page)
         ]
 
-        def offer(dist: float, rid: int) -> None:
-            if len(results) < k:
-                heapq.heappush(results, (-dist, rid))
-            elif dist < -results[0][0]:
-                heapq.heapreplace(results, (-dist, rid))
+        def offer(dists: np.ndarray, rids: np.ndarray) -> None:
+            offer_block(results, k, dists, rids)
 
         def push(mindist: float, page: int) -> None:
             heapq.heappush(frontier, (mindist, page))

@@ -229,19 +229,15 @@ class SequentialScan(VectorIndex):
                 outliers.size, dims=self.reduced.dimensionality
             )
         if len(self.delta):
-            ddists = np.empty(len(self.delta), dtype=np.float64)
-            for j, (vec, _, sidx) in enumerate(self.delta.entries()):
-                ref = q_projs[sidx] if sidx >= 0 else query
-                ddists[j] = float(np.linalg.norm(vec - ref))
-                self.counters.count_distance(1, dims=max(1, vec.size))
-            dist_chunks.append(ddists)
+            dist_chunks.append(
+                self.delta.distances(query, q_projs, self.counters)
+            )
             id_chunks.append(np.asarray(self.delta.rids, dtype=np.int64))
 
         ids = np.concatenate(id_chunks)
         distances = np.concatenate(dist_chunks)
-        tombs = self._tombstone_array()
-        if tombs.size:
-            alive = ~np.isin(ids, tombs)
+        alive = self._alive_mask(ids)
+        if alive is not None:
             ids, distances = ids[alive], distances[alive]
         top = np.argpartition(distances, k - 1)[:k]
         order = np.argsort(distances[top])

@@ -62,6 +62,51 @@ class TestConstruction:
         assert len(result) == 10
         assert result[0][0] == pytest.approx(0.0)
 
+        # Copies spread over several leaves, rids not in row order: each
+        # leaf reaches the caller as one (dists, rids) block, and once the
+        # heap is full a later leaf's ties at the bound never displace an
+        # earlier one.  Ids and counts were recorded with the one-row-at-a-
+        # time offer loop this block path replaced.
+        vectors = np.repeat(rng.normal(size=(3, 4)), 400, axis=0)
+        rids = rng.permutation(1200) + 1000
+        tree, counters = make_tree(vectors, rids)
+        pinned = [
+            (vectors[0], 10, [1154, 1262, 1317, 1364, 1487, 1826, 1915,
+                              1993, 2016, 2025], 534, 6),
+            (vectors[500], 7, [1096, 1176, 1336, 1458, 1531, 1641, 1735],
+             459, 5),
+            (vectors[0] + 0.01, 12, [1031, 1059, 1445, 1726, 1774, 1866,
+                                     1949, 1997, 2040, 2080, 2113, 2146],
+             534, 6),
+        ]
+        for query, k, ids, dists, reads in pinned:
+            counters.reset()
+            assert [rid for _, rid in tree.knn(query, k)] == ids
+            assert counters.distance_computations == dists
+            assert counters.logical_reads == reads
+
+        blocks, frontier = [], [tree.root_page]
+        while frontier:
+            tree.expand(
+                frontier.pop(),
+                vectors[0],
+                lambda _mindist, page: frontier.append(page),
+                lambda d, r: blocks.append((d, r)),
+            )
+        assert len(blocks) > 1
+        assert all(
+            d.dtype == np.float64 and r.dtype == np.int64
+            and d.shape == r.shape
+            for d, r in blocks
+        )
+        got = np.concatenate([r for _, r in blocks])
+        assert sorted(got.tolist()) == sorted(rids.tolist())
+        rows = np.argsort(rids)[np.searchsorted(np.sort(rids), got)]
+        np.testing.assert_array_equal(
+            np.concatenate([d for d, _ in blocks]),
+            np.linalg.norm(vectors[rows] - vectors[0], axis=1),
+        )
+
     def test_pages_allocated(self, rng):
         vectors = rng.normal(size=(5000, 8))
         tree, counters = make_tree(vectors)

@@ -1,17 +1,24 @@
 """Sequential scan and gLDR composite index."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.subspace import OutlierSet
 from repro.eval.precision import reduced_knn
 from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.seqscan import SequentialScan
+from repro.linalg.kernels import normalize_rows
 from repro.reduction.ldr import LDRReducer
+from repro.storage.mmap_store import MmapPageStore
 from repro.storage.pager import pages_for_vectors
+
+from .test_idistance import _brute_force_knn, _bulk_frames, _frame_point
 
 
 @pytest.fixture(scope="module")
-def ldr_reduced():
+def ldr_data():
     from repro.data.synthetic import (
         SyntheticSpec,
         generate_correlated_clusters,
@@ -26,9 +33,61 @@ def ldr_reduced():
         variance_e=0.015,
         noise_fraction=0.01,
     )
-    ds = generate_correlated_clusters(spec, np.random.default_rng(21))
-    red = LDRReducer().reduce(ds.points, np.random.default_rng(5))
-    return ds.points, red
+    return generate_correlated_clusters(
+        spec, np.random.default_rng(21)
+    ).points
+
+
+@pytest.fixture(scope="module")
+def ldr_reduced(ldr_data):
+    return ldr_data, LDRReducer().reduce(ldr_data, np.random.default_rng(5))
+
+
+@pytest.fixture(scope="module")
+def ldr_cosine_reduced(ldr_data):
+    red = LDRReducer().reduce(
+        normalize_rows(ldr_data), np.random.default_rng(5)
+    )
+    red.metric = "cosine"
+    return ldr_data, red
+
+
+def _mutate(index, red, data, frames):
+    """Insert jittered copies of early points (some route to a subspace,
+    some are stored as full-``d`` outliers) and one far outlier point,
+    then delete bulk outliers, bulk tree members and inserted rids of
+    both kinds.  Returns the far insert, a query whose nearest neighbor
+    is itself."""
+    rng = np.random.default_rng(8)
+    next_rid = red.n_points
+    outlier = data[41] + rng.normal(0.0, 1.0, data.shape[1])
+    points = [
+        data[i] + rng.normal(0.0, 1e-3, data.shape[1])
+        for i in range(0, 40, 2)
+    ]
+    inserted = {}
+    for point in points + [outlier]:
+        sidx = index.insert(point, next_rid)
+        point = _frame_point(red, point)
+        frames[next_rid] = (
+            (sidx, red.subspaces[sidx].project(point))
+            if sidx >= 0
+            else (-1, point)
+        )
+        inserted.setdefault(sidx >= 0, []).append(next_rid)
+        next_rid += 1
+    assert frames[next_rid - 1][0] == -1  # the far point is an outlier
+    labels = red.labels()
+    doomed = (
+        np.flatnonzero(labels < 0)[:2].tolist()
+        + np.flatnonzero(labels >= 0)[:2].tolist()
+        + inserted[True][:1]
+        + inserted[False][:1]
+    )
+    for rid in doomed:
+        index.delete(rid)
+        del frames[rid]
+    return outlier
 
 
 class TestSequentialScan:
@@ -60,6 +119,42 @@ class TestSequentialScan:
         data, red = ldr_reduced
         with pytest.raises(ValueError):
             SequentialScan(red).knn(data[0], 0)
+
+
+@pytest.mark.parametrize("scheme", [GlobalLDRIndex, SequentialScan])
+@pytest.mark.parametrize("metric", ["l2", "cosine"])
+@pytest.mark.parametrize("store", ["memory", "mmap"])
+@pytest.mark.parametrize("state", ["bulk", "mutated"])
+@pytest.mark.parametrize("method", ["knn", "knn_batch"])
+def test_exact_against_brute_force(
+    method, state, store, metric, scheme, ldr_reduced, ldr_cosine_reduced
+):
+    """Every query must return exactly the reduced-space KNN: the ids of
+    a brute-force scan over every live point's frame vector, and its
+    distances to 1e-9 — after deletes of outliers, tree members and
+    inserts, and with delta entries both in subspaces and at full ``d``."""
+    data, red = ldr_reduced if metric == "l2" else ldr_cosine_reduced
+    index = scheme(
+        red, store_factory=MmapPageStore if store == "mmap" else None
+    )
+    try:
+        frames = _bulk_frames(red)
+        queries = data[:25]
+        if state == "mutated":
+            outlier = _mutate(index, red, data, frames)
+            queries = np.vstack([queries, outlier])
+        want_ids, want_dists = _brute_force_knn(red, frames, queries, 10)
+        if method == "knn":
+            results = [index.knn(query, 10) for query in queries]
+            got_ids = np.vstack([r.ids for r in results])
+            got_dists = np.vstack([r.distances for r in results])
+        else:
+            batch = index.knn_batch(queries, 10)
+            got_ids, got_dists = batch.ids, batch.distances
+        np.testing.assert_array_equal(got_ids, want_ids)
+        np.testing.assert_allclose(got_dists, want_dists, rtol=0, atol=1e-9)
+    finally:
+        index.store.close()
 
 
 class TestGlobalLDR:
@@ -105,3 +200,54 @@ class TestGlobalLDR:
         data, red = ldr_reduced
         with pytest.raises(ValueError):
             GlobalLDRIndex(red).knn(data[0], -1)
+
+    def test_outlier_ties_and_counts_pinned(self, ldr_reduced):
+        """Duplicate outlier rows, scattered through the scan order with
+        rids out of order, tie at the k-th distance.  The answers pin the
+        heap's tie rule (the outlier leg keeps every row at the k-th
+        distance and offers them in scan order) and the per-query page
+        reads and distance computations; all were recorded with the
+        one-row-at-a-time offer loop the vectorized search replaced."""
+        data, red = ldr_reduced
+        outliers = red.outliers
+        perm = np.random.default_rng(3).permutation(outliers.size)
+        rids = outliers.member_ids[perm]
+        points = outliers.points[perm]
+        a = points[0].copy()
+        b = a.copy()
+        b[0] += 1e-3
+        pos = np.random.default_rng(4).choice(
+            np.arange(1, outliers.size), 13, replace=False
+        )
+        points[pos[:4]] = a  # five rows at distance 0 from a
+        points[pos[4:]] = b  # nine at distance 1e-3
+        index = GlobalLDRIndex(
+            dataclasses.replace(
+                red, outliers=OutlierSet(member_ids=rids, points=points)
+            )
+        )
+        tie = [1112, 1181, 2757, 3202]
+        pinned = [
+            (a, 10, [24, 858, 1719, 1856, 2956, 123] + tie, 26, 846),
+            (a, 3, [24, 1719, 1856], 22, 846),
+            (b, 7, [121, 123, 1112, 1155, 1181, 2757, 3202], 22, 846),
+            (data[0], 10, [0, 2475, 693, 2566, 768, 497, 181, 2754, 2450,
+                           1941], 25, 992),
+        ]
+        for query, k, ids, reads, dists in pinned:
+            result = index.knn(query, k)
+            assert result.ids.tolist() == ids
+            assert result.stats.page_reads == reads
+            assert result.stats.distance_computations == dists
+        index.delete(int(rids[pos[5]]))
+        index.delete(int(rids[0]))
+        pinned = [
+            (a, 10, [858, 1719, 1856, 2956, 1112, 1155, 1181, 1829, 2757,
+                     3202], 22, 846),
+            (b, 7, [121, 1112, 1155, 1181, 1829, 2757, 3202], 22, 846),
+        ]
+        for query, k, ids, reads, dists in pinned:
+            result = index.knn(query, k)
+            assert result.ids.tolist() == ids
+            assert result.stats.page_reads == reads
+            assert result.stats.distance_computations == dists
