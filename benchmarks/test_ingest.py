@@ -2,7 +2,8 @@
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_ingest.report.json``); the flat ``BENCH_ingest.json``
-at the repo root is the :func:`repro.bench.ingest_view` of that report
+at the repo root is the ``"ingest"`` :func:`repro.bench.flat_view` of that
+report
 
     {"n_points", "n_ops", "reorgs", "final_generation",
      "crash_schedules", "recovered_old", "recovered_new",
@@ -31,12 +32,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, ingest_view, result_fingerprint
-from repro.bench.spec import INDEX_SCHEMES
+from repro.bench import BenchReport, flat_view, result_fingerprint
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
+from repro.index import INDEX_SCHEMES
 from repro.ingest import (
-    INGEST_SCHEMES,
     IngestPipeline,
     batch_fingerprint,
     build_from_vectors,
@@ -124,7 +124,7 @@ def test_drift_stream_reorgs_to_a_fresh_equivalent_build(
 ):
     t0 = time.perf_counter()
     reorg_s = 0.0
-    for scheme in INGEST_SCHEMES:
+    for scheme in INDEX_SCHEMES:
         pipe, _ = IngestPipeline.create(
             tmp_path / scheme, base_points, reduce_fn, scheme,
             auto_reorg=True,
@@ -149,10 +149,10 @@ def test_drift_stream_reorgs_to_a_fresh_equivalent_build(
         finally:
             pipe.close()
     wall = time.perf_counter() - t0
-    n_ops = len(drift_ops) * len(INGEST_SCHEMES)
+    n_ops = len(drift_ops) * len(INDEX_SCHEMES)
     RESULTS["live"] = {
         "n_ops": len(drift_ops),
-        "reorgs": len(INGEST_SCHEMES),
+        "reorgs": len(INDEX_SCHEMES),
         "final_generation": 2,
         "ingest_ops_per_s": round(n_ops / wall, 1),
         "reorg_s": round(reorg_s, 3),
@@ -311,7 +311,7 @@ def test_rolling_swap_under_load_and_report(
         },
     )
     report.write(OUT_DIR / "BENCH_ingest.report.json")
-    view = ingest_view(report)
+    view = flat_view("ingest", report)
     out = REPO_ROOT / "BENCH_ingest.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(

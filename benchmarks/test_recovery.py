@@ -3,7 +3,7 @@
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_recovery.report.json``); the flat
 ``BENCH_recovery.json`` at the repo root is kept as the
-:func:`repro.bench.recovery_view` of that report
+``"recovery"`` :func:`repro.bench.flat_view` of that report
 
     {"n_points", "n_ops", "wal_bytes", "update_s", "update_ops_per_s",
      "checkpoint_s", "recover_s", "recover_after_checkpoint_s",
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench import BenchReport, recovery_view, result_fingerprint
+from repro.bench import BenchReport, flat_view, result_fingerprint
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
 from repro.index.idistance import ExtendedIDistance
@@ -138,7 +138,7 @@ def test_recovery_time_and_report(tmp_path):
         fingerprints={"updated": fp_updated, "recovered": fp_recovered},
     )
     report.write(OUT_DIR / "BENCH_recovery.report.json")
-    view = recovery_view(report)
+    view = flat_view("recovery", report)
     out = REPO_ROOT / "BENCH_recovery.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(

@@ -1,18 +1,23 @@
-"""Sharded serving: merged-answer identity gate + sustained-load numbers.
+"""Sharded serving: merged-answer identity gate + open-loop load numbers.
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_serve.report.json``); the flat ``BENCH_serve.json``
-at the repo root is the :func:`repro.bench.serve_view` of that report
+at the repo root is the ``"serve"`` :func:`repro.bench.flat_view` of that
+report
 
-    {"n_shards", "n_requests", "n_partial", "respawns", "retries",
-     "qps", "p50_ms", "p99_ms"}
+    {"n_shards", "n_requests", "arrival_rate_hz", "n_partial", "respawns",
+     "retries", "qps", "p50_ms", "p99_ms"}
 
-The latency/QPS numbers are **advisory** (open-loop load with seeded
-exponential inter-arrivals on a shared-CPU runner proves nothing about
-wall clock); the *gate* is answer identity: on every non-degraded request
-the scatter-gathered global top-K must fingerprint identically to the
-single-node index, for all three schemes — including after a seeded
-SIGKILL of one worker mid-bench and its snapshot+WAL recovery.
+The load is open loop: ``n_requests`` requests fire on a fixed, seeded
+schedule of exponential inter-arrivals at ``arrival_rate_hz``, whatever
+the cluster's speed.  ``qps`` is therefore completions per wall second
+under that schedule: it tracks the arrival rate and drops below it only
+when the cluster falls behind, so it is not a capacity figure.  The
+latency/QPS numbers are **advisory** (a shared-CPU runner proves nothing
+about wall clock); the *gate* is answer identity: on every non-degraded
+request the scatter-gathered global top-K must fingerprint identically
+to the single-node index, for all three schemes — including after a
+seeded SIGKILL of one worker mid-bench and its snapshot+WAL recovery.
 """
 
 import json
@@ -23,10 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, result_fingerprint, serve_view
-from repro.bench.spec import INDEX_SCHEMES
+from repro.bench import BenchReport, flat_view, result_fingerprint
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
+from repro.index import INDEX_SCHEMES
 from repro.reduction import MMDRReducer
 from repro.serve import (
     Router,
@@ -218,6 +223,7 @@ def test_sustained_load_with_midrun_crash_and_report(dataset, tmp_path):
         counters={
             "n_shards": N_SHARDS,
             "n_requests": N_REQUESTS,
+            "arrival_rate_hz": ARRIVAL_RATE_HZ,
             "n_partial": len(partials),
             "respawns": int(counters.get("serve.respawns", 0)),
             "retries": int(counters.get("serve.retries", 0)),
@@ -234,7 +240,7 @@ def test_sustained_load_with_midrun_crash_and_report(dataset, tmp_path):
         },
     )
     report.write(OUT_DIR / "BENCH_serve.report.json")
-    view = serve_view(report)
+    view = flat_view("serve", report)
     out = REPO_ROOT / "BENCH_serve.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(

@@ -3,8 +3,8 @@
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_throughput.report.json``) whose advisory section
 holds the wall-clock rates; the long-standing flat ``BENCH_throughput.json``
-at the repo root is kept as the :func:`repro.bench.throughput_view` of that
-report
+at the repo root is kept as the ``"throughput"``
+:func:`repro.bench.flat_view` of that report
 
     {"qps_sequential", "qps_batch", "qps_parallel", "speedup_batch"}
 
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, result_fingerprint, throughput_view
+from repro.bench import BenchReport, flat_view, result_fingerprint
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
 from repro.eval.harness import measure_throughput, run_workload
@@ -111,7 +111,7 @@ def test_throughput_speedup_and_report():
         fingerprints={"sequential": result_fingerprint(ids, dists)},
     )
     report.write(OUT_DIR / "BENCH_throughput.report.json")
-    view = throughput_view(report)
+    view = flat_view("throughput", report)
     out = REPO_ROOT / "BENCH_throughput.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(

@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.data import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
+from repro.index import INDEX_SCHEMES
 from repro.ingest import (
-    INGEST_SCHEMES,
     IngestPipeline,
     SwapCrashPoint,
     batch_fingerprint,
@@ -149,7 +149,7 @@ def main() -> None:
     parser.add_argument("--dims", type=int, default=8)
     parser.add_argument("--inserts", type=int, default=60)
     parser.add_argument("--scheme", default="iMMDR",
-                        choices=sorted(INGEST_SCHEMES))
+                        choices=sorted(INDEX_SCHEMES))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--root", default="ingest_demo_run")
     args = parser.parse_args()

@@ -21,9 +21,9 @@ import argparse
 
 import numpy as np
 
-from repro.bench.spec import INDEX_SCHEMES
 from repro.data import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
+from repro.index import INDEX_SCHEMES
 from repro.obs.export import read_jsonl
 from repro.obs.report import render_report
 from repro.obs.tracer import Tracer

@@ -60,8 +60,9 @@ class ToleranceBand:
 #: rounded at emission; one page of slack absorbs rounding of the ratio
 #: without letting a real cache regression (which moves it by whole
 #: percentage points) through.  Measured recall@k gets a real band:
-#: approximate answers may legally differ across kernel backends (ADC
-#: floats need not be bit-identical), but a recall move past two
+#: approximate answers may legally differ across BLAS builds and
+#: platforms (the ADC float sums and the k-means codebooks behind them
+#: need not round bit-identically), but a recall move past two
 #: percentage points means the encoder or candidate selection broke.
 DEFAULT_TOLERANCES: Dict[str, ToleranceBand] = {
     "buffer_hit_rate_warm": ToleranceBand(abs_slack=1e-6),

@@ -30,11 +30,11 @@ metric sections have different contracts:
 schema is rejected with :class:`BenchReportError` rather than being
 reinterpreted silently.
 
-The long-standing top-level ``BENCH_throughput.json`` and
-``BENCH_recovery.json`` files are kept as flat *views* of a report
-(:func:`throughput_view` / :func:`recovery_view`), so their consumers and
-their committed history survive the reporter swap; :func:`validate_view`
-checks a view file against the expected key set.
+The top-level ``BENCH_<kind>.json`` files (throughput, recovery, serve,
+ingest, encode) are kept as flat *views* of a report
+(:func:`flat_view`), so their consumers and their committed history
+survive the reporter swap; :func:`validate_view` checks a view file
+against the expected key set.
 """
 
 from __future__ import annotations
@@ -54,11 +54,7 @@ __all__ = [
     "SERVE_VIEW_KEYS",
     "INGEST_VIEW_KEYS",
     "ENCODE_VIEW_KEYS",
-    "throughput_view",
-    "recovery_view",
-    "serve_view",
-    "ingest_view",
-    "encode_view",
+    "flat_view",
     "validate_view",
 ]
 
@@ -228,9 +224,13 @@ RECOVERY_VIEW_KEYS = (
 )
 
 #: BENCH_serve.json keys (logical serve counts + advisory latencies).
+#: ``qps`` is completions per wall second under an open-loop schedule
+#: at ``arrival_rate_hz``, so it tracks that rate; it is not a capacity
+#: figure.
 SERVE_VIEW_KEYS = (
     "n_shards",
     "n_requests",
+    "arrival_rate_hz",
     "n_partial",
     "respawns",
     "retries",
@@ -274,7 +274,19 @@ _VIEW_KEYS = {
 }
 
 
-def _extract_view(report: BenchReport, keys) -> dict:
+def _view_keys(kind: str):
+    try:
+        return _VIEW_KEYS[kind]
+    except KeyError:
+        raise BenchReportError(
+            f"unknown view kind {kind!r}; expected one of "
+            f"{sorted(_VIEW_KEYS)}"
+        )
+
+
+def flat_view(kind: str, report: BenchReport) -> dict:
+    """The flat ``BENCH_<kind>.json`` dict, drawn from a report."""
+    keys = _view_keys(kind)
     merged = {**report.counters, **report.advisory}
     missing = [key for key in keys if key not in merged]
     if missing:
@@ -284,41 +296,11 @@ def _extract_view(report: BenchReport, keys) -> dict:
     return {key: merged[key] for key in keys}
 
 
-def throughput_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_throughput.json`` dict, drawn from a report."""
-    return _extract_view(report, THROUGHPUT_VIEW_KEYS)
-
-
-def recovery_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_recovery.json`` dict, drawn from a report."""
-    return _extract_view(report, RECOVERY_VIEW_KEYS)
-
-
-def serve_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_serve.json`` dict, drawn from a report."""
-    return _extract_view(report, SERVE_VIEW_KEYS)
-
-
-def ingest_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_ingest.json`` dict, drawn from a report."""
-    return _extract_view(report, INGEST_VIEW_KEYS)
-
-
-def encode_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_encode.json`` dict, drawn from a report."""
-    return _extract_view(report, ENCODE_VIEW_KEYS)
-
-
 def validate_view(kind: str, data: object) -> None:
-    """Check a flat view dict (``kind`` of ``"throughput"`` or
-    ``"recovery"``) for exactly the expected numeric keys."""
-    try:
-        keys = _VIEW_KEYS[kind]
-    except KeyError:
-        raise BenchReportError(
-            f"unknown view kind {kind!r}; expected one of "
-            f"{sorted(_VIEW_KEYS)}"
-        )
+    """Check a flat view dict (``kind`` is a :func:`flat_view` kind:
+    ``"throughput"``, ``"recovery"``, ``"serve"``, ``"ingest"`` or
+    ``"encode"``) for exactly the expected numeric keys."""
+    keys = _view_keys(kind)
     if not isinstance(data, dict):
         raise BenchReportError(
             f"{kind} view must be a JSON object, got {type(data).__name__}"

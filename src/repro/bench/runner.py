@@ -18,8 +18,8 @@ One :func:`run_bench` call proves two things about a
 ``mode="approx"`` specs add a fifth way: the PQ-encoded scan-then-rerank
 path, whose answers are gated on a measured ``recall_at_k`` band against
 the exact fingerprinted reference instead of fingerprint identity
-(approximate ADC floats need not be bit-identical across kernel
-backends), with a per-depth ``recall_curve`` kept advisory.
+(approximate ADC floats need not round bit-identically across BLAS
+builds and platforms), with a per-depth ``recall_curve`` kept advisory.
 
 The produced :class:`~repro.bench.report.BenchReport` is what the
 regression gate compares against committed baselines.
@@ -190,10 +190,10 @@ def run_bench(
 
     # Approx leg — attach the PQ encoder, then measure recall@k of the
     # scan-then-rerank path against the exact fingerprinted answers.
-    # Approximate results may legally differ across kernel backends
-    # (ADC floats need not be bit-identical), so no approx fingerprint
-    # is emitted: the gate is the banded recall_at_k counter, and the
-    # approx-batch agreement below is asserted at runtime only.
+    # Approximate results may legally differ across BLAS builds and
+    # platforms (ADC floats need not round bit-identically), so no approx
+    # fingerprint is emitted: the gate is the banded recall_at_k counter,
+    # and the approx-batch agreement below is asserted at runtime only.
     recall_curve: dict = {}
     if spec.mode == "approx":
         with tracer.span(

@@ -26,24 +26,15 @@ import numpy as np
 from ..data.synthetic import SyntheticSpec, generate_correlated_clusters
 from ..data.workload import QueryWorkload, sample_queries
 from ..encode import EncoderConfig
+from ..index import INDEX_SCHEMES
 from ..index.base import VectorIndex
-from ..index.global_ldr import GlobalLDRIndex
-from ..index.idistance import ExtendedIDistance
-from ..index.seqscan import SequentialScan
 from ..linalg.kernels import normalize_rows
 from ..recovery.harness import Op, make_update_workload
 from ..reduction import LDRReducer, MMDRReducer, ReducedDataset
 from ..storage.faults import FaultPlan
 from ..storage.mmap_store import MmapPageStore
 
-__all__ = ["WorkloadSpec", "INDEX_SCHEMES", "REDUCERS"]
-
-#: Index scheme name -> constructor over a reduced dataset.
-INDEX_SCHEMES: Dict[str, Callable[[ReducedDataset], VectorIndex]] = {
-    "iMMDR": ExtendedIDistance,
-    "gLDR": GlobalLDRIndex,
-    "SeqScan": SequentialScan,
-}
+__all__ = ["WorkloadSpec", "REDUCERS"]
 
 #: Reducer name -> factory.
 REDUCERS: Dict[str, Callable[[], object]] = {

@@ -363,10 +363,9 @@ class EllipticalKMeans:
         counters: Optional[CostCounters],
     ) -> np.ndarray:
         # The hottest k-means loop, routed through the fused batch kernel:
-        # one (n, k) matrix per sweep with no per-shape (n, d) whitening
-        # temporaries on the compiled backend, and column-for-column
-        # bit-identity with the per-shape normalized_distance loop on the
-        # reference backend.  Counter charges are unchanged.
+        # one (n, k) matrix per sweep, column-for-column bit-identical to
+        # the per-shape normalized_distance loop.  Counter charges are
+        # unchanged.
         return batch_normalized_mahalanobis(
             points, shapes, self.normalization, counters
         )

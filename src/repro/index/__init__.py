@@ -8,7 +8,12 @@
 All three score identically (reduced-space L2, full L2 for outliers) and
 return exact KNN under that scoring, so any cost difference between them is
 purely structural.
+
+:data:`INDEX_SCHEMES` is the one name → constructor registry the bench
+specs, the ingestion pipeline and the serving supervisor all build from.
 """
+
+from typing import Callable, Dict
 
 from .base import (
     BatchKNNResult,
@@ -22,11 +27,19 @@ from .hybrid_tree import HybridTree, hybrid_internal_fanout, hybrid_leaf_capacit
 from .idistance import ExtendedIDistance
 from .seqscan import SequentialScan
 
+#: Index scheme name -> constructor over a reduced dataset.
+INDEX_SCHEMES: Dict[str, Callable[..., VectorIndex]] = {
+    "iMMDR": ExtendedIDistance,
+    "gLDR": GlobalLDRIndex,
+    "SeqScan": SequentialScan,
+}
+
 __all__ = [
     "BatchKNNResult",
     "ExtendedIDistance",
     "GlobalLDRIndex",
     "HybridTree",
+    "INDEX_SCHEMES",
     "InvalidQueryError",
     "KNNResult",
     "QueryStats",

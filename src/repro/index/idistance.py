@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.subspace import EllipticalSubspace
-from ..linalg.backend import (
+from ..linalg.kernels import (
     cold_lru_physical_reads,
     flat_l2,
     multi_arange,

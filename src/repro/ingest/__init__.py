@@ -36,7 +36,6 @@ from .generation import (
     SwapCrashPoint,
 )
 from .pipeline import (
-    INGEST_SCHEMES,
     DriftTrigger,
     IngestError,
     IngestOpenReport,
@@ -55,7 +54,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "INGEST_SCHEMES",
     "DriftTrigger",
     "GenerationError",
     "GenerationMissingError",

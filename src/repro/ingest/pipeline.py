@@ -46,10 +46,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..index import INDEX_SCHEMES
 from ..index.base import VectorIndex
-from ..index.global_ldr import GlobalLDRIndex
-from ..index.idistance import ExtendedIDistance
-from ..index.seqscan import SequentialScan
 from ..obs.health import HealthSampler, drift_scores, sample_gauges
 from ..persist.snapshot import save_index
 from ..reduction.base import ReducedDataset
@@ -66,7 +64,6 @@ from .generation import (
 )
 
 __all__ = [
-    "INGEST_SCHEMES",
     "DriftTrigger",
     "IngestError",
     "IngestOpenReport",
@@ -83,12 +80,6 @@ __all__ = [
 #: ``("delete", global_rid)`` — the same shape as the recovery harness's
 #: workload ops, so the two test stacks share generators.
 Op = Tuple
-
-INGEST_SCHEMES: Dict[str, type] = {
-    "iMMDR": ExtendedIDistance,
-    "gLDR": GlobalLDRIndex,
-    "SeqScan": SequentialScan,
-}
 
 #: Oplog record type (private framing namespace; the oplog reuses the
 #: WAL's CRC frame codec but is not a WAL).
@@ -184,10 +175,10 @@ def build_from_vectors(
     fingerprints comparable to a from-scratch build over the same
     committed mutation stream.
     """
-    if scheme not in INGEST_SCHEMES:
+    if scheme not in INDEX_SCHEMES:
         raise IngestError(
             f"unknown scheme {scheme!r}; expected one of "
-            f"{sorted(INGEST_SCHEMES)}"
+            f"{sorted(INDEX_SCHEMES)}"
         )
     if not vectors:
         raise IngestError("cannot build a generation from zero live points")
@@ -196,7 +187,7 @@ def build_from_vectors(
         np.stack([vectors[int(rid)] for rid in rid_map]), dtype=np.float64
     )
     reduced = reduce_fn(points)
-    index = INGEST_SCHEMES[scheme](reduced, store_factory=store_factory)
+    index = INDEX_SCHEMES[scheme](reduced, store_factory=store_factory)
     return index, points, rid_map
 
 
@@ -280,10 +271,10 @@ class IngestPipeline:
         auto_reorg: bool = True,
         page_store: str = "memory",
     ) -> None:
-        if scheme not in INGEST_SCHEMES:
+        if scheme not in INDEX_SCHEMES:
             raise IngestError(
                 f"unknown scheme {scheme!r}; expected one of "
-                f"{sorted(INGEST_SCHEMES)}"
+                f"{sorted(INDEX_SCHEMES)}"
             )
         if page_store not in ("memory", "mmap"):
             raise IngestError(

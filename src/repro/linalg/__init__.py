@@ -7,22 +7,18 @@ Definitions 3.2–3.5 map one-to-one onto this subpackage:
   (multi-level projections) and the ``ProjDist_r`` half of Definition 3.4.
 * :class:`ClusterShape` — Definition 3.2 (MahaDist and normalized MahaDist).
 * :func:`random_orthonormal` — the Appendix-A rotation step.
-* :mod:`~repro.linalg.kernels` — bit-exact batched distance kernels and the
-  cold-LRU replay used by the batch query engine.
-* :mod:`~repro.linalg.backend` — the pluggable kernel backend (reference
-  numpy vs compiled numba) the package-level kernel names dispatch through.
+* :mod:`~repro.linalg.kernels` — the one implementation of every batched
+  distance kernel, plus the cold-LRU replay used by the batch query engine.
 """
 
-from .backend import (
+from . import backend  # noqa: F401  (the traced benchmark's binding point)
+from .kernels import (
     batch_l2_rows,
     batch_mahalanobis_rows,
     cold_lru_physical_reads,
     flat_l2,
-    get_kernel_backend,
-    kernel_backend_info,
     multi_arange,
     normalize_rows,
-    set_kernel_backend,
 )
 from .mahalanobis import (
     ClusterShape,
@@ -44,14 +40,11 @@ __all__ = [
     "estimate_covariance",
     "fit_pca",
     "flat_l2",
-    "get_kernel_backend",
     "is_orthonormal",
-    "kernel_backend_info",
     "multi_arange",
     "normalize_rows",
     "project",
     "random_orthonormal",
     "reconstruct",
     "residual_norms",
-    "set_kernel_backend",
 ]

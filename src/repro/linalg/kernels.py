@@ -1,4 +1,5 @@
-"""Vectorized kernels shared by the batch query engine.
+"""The distance kernels: one implementation of each, shared by the query
+engines and elliptical k-means.
 
 The batch KNN paths (:meth:`repro.index.base.VectorIndex.knn_batch`) promise
 *bit-identical* results to the per-query search.  That rules out the usual
@@ -168,10 +169,6 @@ def batch_mahalanobis_rows(
     as the same scalar ``0.5 * (penalty + msq)``.  ``penalties`` is the
     per-cluster precomputed ``d ln 2π + ln|C|`` term (``None`` means the
     raw quadratic form, i.e. ``normalization="none"``).
-
-    This is the reference implementation of the fused kernel: the compiled
-    backend computes the same values without materializing the ``(n, d)``
-    whitened temporaries, one accumulation per (point, cluster) pair.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]

@@ -30,6 +30,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from ..storage.metrics import CostCounters
+from .kernels import batch_mahalanobis_rows
 
 __all__ = [
     "Normalization",
@@ -196,15 +197,12 @@ def batch_normalized_mahalanobis(
     This is the batched form of calling ``shape.normalized_distance`` once
     per shape and stacking the columns — the hottest loop of elliptical
     k-means — routed through the fused
-    :func:`repro.linalg.backend.batch_mahalanobis_rows` kernel.  Under the
-    reference backend each column is bit-identical to the per-shape call;
-    the compiled backend agrees to well under the fingerprints' 1e-9
-    quantum.  Counters are charged here exactly as the per-shape loop
-    charged them (``n`` distance evaluations per shape, at full ``d``),
-    so logical costs are invariant to both batching and backend.
+    :func:`repro.linalg.kernels.batch_mahalanobis_rows` kernel, whose
+    columns are bit-identical to the per-shape call.  Counters are charged
+    here exactly as the per-shape loop charged them (``n`` distance
+    evaluations per shape, at full ``d``), so logical costs are invariant
+    to batching.
     """
-    from .backend import batch_mahalanobis_rows
-
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     shapes = list(shapes)
     if not shapes:

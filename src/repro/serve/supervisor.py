@@ -31,7 +31,7 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
-from ..bench.spec import INDEX_SCHEMES
+from ..index import INDEX_SCHEMES
 from ..recovery import checkpoint
 from ..storage.mmap_store import MmapPageStore
 from .faults import WorkerFaultSpec

@@ -9,8 +9,7 @@ from repro.bench import (
     SCHEMA_VERSION,
     BenchReport,
     BenchReportError,
-    recovery_view,
-    throughput_view,
+    flat_view,
     validate_view,
 )
 from repro.bench.report import RECOVERY_VIEW_KEYS, THROUGHPUT_VIEW_KEYS
@@ -171,18 +170,20 @@ class TestViews:
         )
 
     def test_throughput_view_shape(self):
-        view = throughput_view(self._full_report())
+        view = flat_view("throughput", self._full_report())
         assert tuple(view) == THROUGHPUT_VIEW_KEYS
         validate_view("throughput", view)
 
     def test_recovery_view_shape(self):
-        view = recovery_view(self._full_report())
+        view = flat_view("recovery", self._full_report())
         assert tuple(view) == RECOVERY_VIEW_KEYS
         validate_view("recovery", view)
 
     def test_view_missing_metric(self, report):
         with pytest.raises(BenchReportError, match="lacks view metrics"):
-            throughput_view(report)
+            flat_view("throughput", report)
+        with pytest.raises(BenchReportError, match="unknown view kind"):
+            flat_view("nope", report)
 
     def test_validate_view_rejects_extra_and_missing(self):
         with pytest.raises(BenchReportError, match="key mismatch"):
@@ -197,6 +198,9 @@ class TestViews:
         [
             ("BENCH_throughput.json", "throughput"),
             ("BENCH_recovery.json", "recovery"),
+            ("BENCH_serve.json", "serve"),
+            ("BENCH_ingest.json", "ingest"),
+            ("BENCH_encode.json", "encode"),
         ],
     )
     def test_committed_bench_outputs_parse_as_views(self, filename, kind):

@@ -141,3 +141,43 @@ class TestColdLruPhysicalReads:
         for page in seq.tolist():
             pool.read(int(page))
         assert cold_lru_physical_reads(seq, 4) == counters.physical_reads
+
+
+class TestInputGuard:
+    """The query-path kernels take C-contiguous float64 2-D operands and
+    raise on anything else instead of silently copying it per call."""
+
+    def test_guards_dtype_and_layout(self, rng):
+        points = rng.normal(size=(50, 6))
+        queries = rng.normal(size=(4, 6))
+        positions = np.arange(8, dtype=np.int64)
+        query_of_entry = np.repeat(np.arange(4, dtype=np.int64), 2)
+
+        def flat(p, q):
+            return flat_l2(p, positions, q, query_of_entry)
+
+        for kernel in (batch_l2_rows, flat):
+            for p, q in ((points, queries.astype(np.float32)),
+                         (points.astype(np.float32), queries)):
+                with pytest.raises(TypeError, match="float64"):
+                    kernel(p, q)
+            for p, q in ((np.asfortranarray(points), queries),
+                         (points, np.asfortranarray(queries)),
+                         (points[:, ::2], queries[:, ::2])):
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    kernel(p, q)
+            for p, q in ((points.ravel(), queries),
+                         (points, queries[None, :, :])):
+                with pytest.raises(ValueError, match="2-d"):
+                    kernel(p, q)
+
+
+def test_traced_binding_point_reexports_the_kernel_objects():
+    """``repro.linalg.backend`` only re-exports; the traced benchmark
+    finds every caller by the identity of these objects."""
+    import repro.linalg as linalg
+    from repro.linalg import backend, kernels
+
+    for name in backend.__all__:
+        assert getattr(backend, name) is getattr(kernels, name)
+        assert getattr(linalg, name) is getattr(kernels, name)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.bench.fingerprint import result_fingerprint
-from repro.bench.spec import INDEX_SCHEMES
+from repro.index import INDEX_SCHEMES
 from repro.reduction import MMDRReducer
 from repro.serve import ShardPlanner, Supervisor
 from repro.serve.planner import mode_for_scheme

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bench.spec import INDEX_SCHEMES
+from repro.index import INDEX_SCHEMES
 from repro.index.base import InvalidQueryError
 from repro.obs.tracer import Tracer
 from repro.serve import (
