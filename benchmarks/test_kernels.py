@@ -85,8 +85,13 @@ def test_kernel_microbench_and_report():
     advisory["batch_l2_rows_s"], batch = _best_of(
         kernels.batch_l2_rows, points, queries
     )
+    # flat_l2 scores column-major blocks: one row per dimension.
     advisory["flat_l2_s"], flat = _best_of(
-        kernels.flat_l2, points, positions, queries, query_of_entry
+        kernels.flat_l2,
+        np.ascontiguousarray(points.T),
+        positions,
+        np.ascontiguousarray(queries.T),
+        query_of_entry,
     )
 
     n_clusters = 8

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -493,25 +493,27 @@ class MMDR:
             return groups
         # Stable keys let us memoize failed pairs: a pair is only retried if
         # one of its groups was itself replaced by a merge since the attempt.
+        # A group's centroid never changes, so it is computed once per key.
         next_key = 0
         keyed = []
         for g in groups:
             keyed.append((next_key, g))
             next_key += 1
         failed: set = set()
+        centroid_of: Dict[int, np.ndarray] = {}
 
         merged = True
         while merged and len(keyed) > 1:
             merged = False
-            centroids = np.vstack(
-                [data[g.member_ids].mean(axis=0) for _, g in keyed]
-            )
-            order = sorted(
-                (float(np.linalg.norm(centroids[i] - centroids[j])), i, j)
-                for i in range(len(keyed))
-                for j in range(i + 1, len(keyed))
-            )
-            for _, i, j in order:
+            for key, g in keyed:
+                if key not in centroid_of:
+                    centroid_of[key] = data[g.member_ids].mean(axis=0)
+            centroids = np.vstack([centroid_of[key] for key, _ in keyed])
+            # Every pair (i < j) by centroid distance, ties by (i, j).
+            ii, jj = np.triu_indices(len(keyed), k=1)
+            dists = np.linalg.norm(centroids[ii] - centroids[jj], axis=1)
+            order = np.lexsort((jj, ii, dists))
+            for i, j in zip(ii[order].tolist(), jj[order].tolist()):
                 key_i, group_i = keyed[i]
                 key_j, group_j = keyed[j]
                 pair = (min(key_i, key_j), max(key_i, key_j))

@@ -56,6 +56,7 @@ import numpy as np
 
 from ..core.subspace import EllipticalSubspace
 from ..linalg.kernels import (
+    _BATCH_SEG_VIEW_MIN,
     cold_lru_physical_reads,
     flat_l2,
     multi_arange,
@@ -78,7 +79,7 @@ class _Partition:
     index: int
     subspace: Optional[EllipticalSubspace]  # None for the outlier partition
     centroid: np.ndarray  # reference point in the partition's own frame
-    vectors: np.ndarray  # (m, width) sorted by key offset
+    columns: np.ndarray  # (width, m) column-major, sorted by key offset
     rids: np.ndarray  # (m,) global point ids, same order
     offsets: np.ndarray  # (m,) = dist(P, O_i), ascending
     page_of_entry: np.ndarray  # (m,) data page id per entry
@@ -97,16 +98,16 @@ class _Partition:
     def size(self) -> int:
         return self.rids.size + len(self.delta_rids)
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """The bulk vectors as ``(m, width)`` rows: a transposed view of
+        :attr:`columns`, not a copy."""
+        return self.columns.T
+
     def project_query(self, query: np.ndarray) -> np.ndarray:
         if self.subspace is not None:
             return self.subspace.project(query)
         return np.asarray(query, dtype=np.float64)
-
-
-#: Segment length at or above which the batch scan scores a segment on a
-#: contiguous array view instead of routing it through the shared gather
-#: kernel — long runs pay more for the gather copy than for one numpy call.
-_BATCH_SEG_VIEW_MIN = 256
 
 
 class _QueryLedger:
@@ -291,6 +292,11 @@ class ExtendedIDistance(VectorIndex):
         self._leaf_pages = np.asarray(
             self.tree.leaf_page_ids(), dtype=np.int64
         )
+        # Bulk-loaded leaves get consecutive page ids; scans record leaf
+        # runs as ranges when that holds, else as per-leaf singletons.
+        self._leaf_runs = self._leaf_pages.size <= 1 or bool(
+            (np.diff(self._leaf_pages) == 1).all()
+        )
         sizes = [p.size for p in self.partitions]
         self._rank_base = np.concatenate(
             [[0], np.cumsum(sizes)]
@@ -333,10 +339,10 @@ class ExtendedIDistance(VectorIndex):
         offsets: np.ndarray,
     ) -> None:
         order = np.argsort(offsets, kind="stable")
-        vectors = np.ascontiguousarray(vectors[order])
+        columns = np.ascontiguousarray(vectors[order].T)
         rids = rids[order]
         offsets = offsets[order]
-        width = vectors.shape[1]
+        width = columns.shape[0]
         per_page = max(1, PAGE_SIZE // max(1, vector_bytes(width)))
         page_of_entry = np.empty(rids.size, dtype=np.int64)
         for lo in range(0, rids.size, per_page):
@@ -351,7 +357,7 @@ class ExtendedIDistance(VectorIndex):
                 index=len(self.partitions),
                 subspace=subspace,
                 centroid=centroid,
-                vectors=vectors,
+                columns=columns,
                 rids=rids,
                 offsets=offsets,
                 page_of_entry=page_of_entry,
@@ -545,8 +551,8 @@ class ExtendedIDistance(VectorIndex):
 
         ``position`` indexes the partition's key-ordered layout: positions
         below ``partition.rids.size`` address the bulk-loaded arrays
-        (``partition.vectors[position]``); positions at or above it address
-        the delta store (``position - partition.rids.size`` into
+        (``partition.columns[:, position]``); positions at or above it
+        address the delta store (``position - partition.rids.size`` into
         ``partition.delta_vectors``), in insertion order.  Bulk locations
         come from the rid map built at load time; dynamic inserts register
         themselves as they arrive.  Raises ``KeyError`` for unknown rids.
@@ -681,16 +687,17 @@ class ExtendedIDistance(VectorIndex):
 
         Every query expands its search radius in lockstep.  Per partition
         and radius step, the still-active queries' directional block
-        boundaries come from *vectorized* searchsorted calls, and their
-        short not-yet-visited segments are scored by ONE gather kernel —
-        ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
-        the last axis — whose entries are bit-identical to per-block norms
-        (see :mod:`repro.linalg.kernels`); long segments, and every
-        segment of a lone query, are scored on contiguous views with the
-        same arithmetic.  Only top-K heap maintenance stays per query,
-        consuming each query's segments in scan order (inward then
-        outward, ascending positions, with the k-th-best pre-filter
-        refreshed between segments) so heap tie behavior is fixed.
+        boundaries come from *vectorized* searchsorted calls.  Every
+        candidate is scored by :func:`~repro.linalg.kernels.flat_l2` on
+        the partition's column-major block, bit-identical to a per-block
+        ``np.linalg.norm(rows - q, axis=1)``: the queries' short
+        not-yet-visited segments go through ONE gathered call, long
+        segments (and every segment of a lone query) through one call
+        each on a contiguous column view.  Only top-K heap maintenance
+        stays per query, consuming each query's segments in scan order
+        (inward then outward, ascending positions, with the k-th-best
+        pre-filter refreshed between segments) so heap tie behavior is
+        fixed.
 
         Costs go to ``sinks`` (one per query): a :class:`_QueryLedger`
         records them for :meth:`_knn_batch` to settle, a :class:`_LiveSink`
@@ -714,9 +721,9 @@ class ExtendedIDistance(VectorIndex):
 
         # Per-partition query geometry.  Projections stay per-query gemv
         # calls (a stacked gemm is NOT bit-identical to gemv rows — see
-        # repro.linalg.kernels), gathered into one (Q, width) array per
-        # partition so the scan kernels can index rows by query.
-        q_proj: List[np.ndarray] = []
+        # repro.linalg.kernels), written as the columns of one (width, Q)
+        # block per partition: the layout flat_l2 scores against.
+        q_cols: List[np.ndarray] = []
         q_dist = np.empty((n_parts, n_queries), dtype=np.float64)
         with (NULL_TRACER if live else tracer).span(
             "knn.batch.project_queries",
@@ -725,7 +732,7 @@ class ExtendedIDistance(VectorIndex):
         ):
             for partition in self.partitions:
                 block = np.empty(
-                    (n_queries, partition.vectors.shape[1]),
+                    (partition.columns.shape[0], n_queries),
                     dtype=np.float64,
                 )
                 centroid = partition.centroid
@@ -739,18 +746,18 @@ class ExtendedIDistance(VectorIndex):
                     mean, basis = subspace.mean, subspace.basis
                     for i in range(n_queries):
                         proj = (queries[i] - mean) @ basis
-                        block[i] = proj
+                        block[:, i] = proj
                         diff = proj - centroid
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 else:
-                    block[:] = queries
+                    block[:] = queries.T
                     for i in range(n_queries):
                         diff = queries[i] - centroid
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
-                q_proj.append(block)
+                q_cols.append(block)
 
-        # Stacked copies of the partitions' delta stores (dynamic inserts),
-        # built on a partition's first contact.
+        # Column-stacked copies of the partitions' delta stores (dynamic
+        # inserts), built on a partition's first contact.
         delta_blocks: Dict[int, np.ndarray] = {}
 
         sizes = np.array(
@@ -781,25 +788,35 @@ class ExtendedIDistance(VectorIndex):
         contacted = np.zeros((n_parts, n_queries), dtype=bool)
         in_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
         out_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
-        total_expansions = 0
+        expansions = np.zeros(n_queries, dtype=np.int64)
 
         leaf_pages = self._leaf_pages
-        # Bulk-loaded leaves get consecutive page ids; record leaf runs as
-        # ranges when that holds, else as per-leaf singletons.
-        leaf_runs = leaf_pages.size <= 1 or bool(
-            (np.diff(leaf_pages) == 1).all()
-        )
+        leaf_runs = self._leaf_runs
         fill = self._leaf_fill
+        tree = self.tree
+        c = self.c
         radius = self.radius_step
+        # What probe() reads of a partition, gathered once per scan rather
+        # than once per radius expansion.
+        plans = [
+            (
+                partition.offsets,
+                partition.columns,
+                partition.rids,
+                partition.page_of_entry,
+                int(self._rank_base[partition.index]),
+                max(1, partition.columns.shape[0]),
+            )
+            for partition in self.partitions
+        ]
 
         def probe(partition: _Partition, act: np.ndarray) -> None:
             """Advance every active query's scan of one partition to cover
             the key interval ``[d_i - radius, d_i + radius]``."""
             p = partition.index
-            offsets = partition.offsets
+            offsets, columns, rids_all, page_of_entry, rank0, width = plans[p]
             bulk = offsets.size
-            Qp = q_proj[p]
-            width_charge = max(1, partition.vectors.shape[1])
+            Qc = q_cols[p]
 
             # First contact per query: the annulus-intersection gate, the
             # tree descent to the seek leaf, and the delta-store scoring.
@@ -816,7 +833,7 @@ class ExtendedIDistance(VectorIndex):
                         max(d_i, partition.min_radius),
                         partition.max_radius,
                     )
-                    sink.descend(self.tree, p * self.c + seek)
+                    sink.descend(tree, p * c + seek)
                     pos = int(np.searchsorted(offsets, seek))
                     in_pos[p, qi] = pos - 1
                     out_pos[p, qi] = pos
@@ -826,12 +843,14 @@ class ExtendedIDistance(VectorIndex):
                             sink.read_range(page, page)
                         dblock = delta_blocks.get(p)
                         if dblock is None:
-                            dblock = np.vstack(partition.delta_vectors)
+                            # (width, n) C-ordered: the transpose of an
+                            # F-ordered row stack, built in one copy.
+                            dblock = np.array(
+                                partition.delta_vectors, order="F"
+                            ).T
                             delta_blocks[p] = dblock
-                        ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
-                        sink.count_distance(
-                            dblock.shape[0], max(1, dblock.shape[1])
-                        )
+                        ddists = flat_l2(dblock, slice(None), Qc, qi)
+                        sink.count_distance(ddists.size, width)
                         heap = heaps[qi]
                         if heap_lazy[qi]:
                             heapq.heapify(heap)
@@ -875,10 +894,10 @@ class ExtendedIDistance(VectorIndex):
             out_pos[p, sub[o_has]] = o_hi[o_has]
 
             # Interleave [inward, outward] segments per query.  Long
-            # segments are scored per segment on contiguous views (no
-            # gather copies);
-            # everything shorter is batched into ONE gather kernel so
-            # small per-query slabs don't pay numpy call overhead each.
+            # segments are scored one by one on contiguous column views
+            # (no gather copy); in a block of queries everything shorter
+            # is pooled into ONE gathered flat_l2 call, so small
+            # per-query slabs don't pay a kernel call each.
             starts = np.column_stack([in_start, out_start]).ravel()
             stops = np.column_stack([in_stop, out_stop]).ravel()
             lens = stops - starts
@@ -891,17 +910,11 @@ class ExtendedIDistance(VectorIndex):
                 small_lens = np.where(small, lens, 0)
                 flat = multi_arange(starts, np.where(small, stops, starts))
                 entry_q = np.repeat(np.repeat(sub, 2), small_lens)
-                dists_flat = flat_l2(
-                    partition.vectors, flat, Qp, entry_q
-                )
-                rids_flat = partition.rids[flat]
+                dists_flat = flat_l2(columns, flat, Qc, entry_q)
+                rids_flat = rids_all[flat]
                 seg_start_list = np.concatenate(
                     [[0], np.cumsum(small_lens)[:-1]]
                 ).tolist()
-            vectors = partition.vectors
-            rids_all = partition.rids
-            rank0 = int(self._rank_base[p])
-            page_of_entry = partition.page_of_entry
 
             # Hoist all per-segment I/O-replay lookups out of the Python
             # loop: leaf/data page bounds for every segment in four array
@@ -946,24 +959,16 @@ class ExtendedIDistance(VectorIndex):
                             page = int(leaf_pages[leaf_idx])
                             sink.read_range(page, page)
                     sink.read_range(pg_lo_list[seg], pg_hi_list[seg])
-                    sink.count_scan(ln, width_charge)
+                    sink.count_scan(ln, width)
                     if small_list[seg]:
                         s0 = seg_start_list[seg]
                         seg_d = dists_flat[s0 : s0 + ln]
                         seg_r = rids_flat[s0 : s0 + ln]
                     else:
                         lo_pos = starts_list[seg]
-                        # Inline norm: np.linalg.norm(diff, axis=1) IS
-                        # sqrt(add.reduce((x.conj()*x).real, axis)) —
-                        # same multiplies, same pairwise reduction, same
-                        # sqrt — minus the dispatch overhead per call.
-                        # In-place squaring/sqrt reuse the temporaries;
-                        # the values are the same ops on the same bits.
-                        diff = vectors[lo_pos : lo_pos + ln] - Qp[qi]
-                        np.multiply(diff, diff, out=diff)
-                        seg_d = np.add.reduce(diff, axis=1)
-                        np.sqrt(seg_d, out=seg_d)
-                        seg_r = rids_all[lo_pos : lo_pos + ln]
+                        run = slice(lo_pos, lo_pos + ln)
+                        seg_d = flat_l2(columns, run, Qc, qi)
+                        seg_r = rids_all[run]
                     if tombs.size:
                         # Membership in the sorted tombstone array (np.isin
                         # costs tens of microseconds a call at any size).
@@ -1052,7 +1057,7 @@ class ExtendedIDistance(VectorIndex):
             act = np.flatnonzero(active)
             if act.size == 0:
                 break
-            total_expansions += act.size
+            expansions[act] += 1
             if live:
                 # One span per radius expansion: its cost delta is exactly
                 # the pages/distances this ΔR step paid across partitions.
@@ -1060,7 +1065,7 @@ class ExtendedIDistance(VectorIndex):
                     "knn.expand_radius",
                     counters=self.counters,
                     radius=radius,
-                    expansion=total_expansions,
+                    expansion=int(expansions[0]),
                 ) as expand_span:
                     expand(act)
                     if tracer.enabled:
@@ -1080,11 +1085,14 @@ class ExtendedIDistance(VectorIndex):
             active[act[done]] = False
             radius += self.radius_step
         if tracer.enabled:
-            tracer.counter("knn.radius_expansions").inc(total_expansions)
-            if live:
-                tracer.histogram(
-                    "knn.expansions_per_query", buckets=tuple(range(1, 65))
-                ).observe(total_expansions)
+            tracer.counter("knn.radius_expansions").inc(
+                int(expansions.sum())
+            )
+            per_query = tracer.histogram(
+                "knn.expansions_per_query", buckets=tuple(range(1, 65))
+            )
+            for count in expansions.tolist():
+                per_query.observe(count)
 
         ids = np.empty((n_queries, k_eff), dtype=np.int64)
         distances = np.empty((n_queries, k_eff), dtype=np.float64)

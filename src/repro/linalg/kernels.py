@@ -17,12 +17,28 @@ only on the length and layout of the reduced axis, so
 holds for C-contiguous inputs.  The helpers here package that identity (plus
 the flat gather variant the iDistance scan uses) with query-chunking so the
 broadcast buffer stays bounded.
+
+The same tree can be replayed across *columns*.  For a contiguous float64
+row of length ``d``, ``np.add.reduce`` adds ``pairwise(row)`` to its zero
+identity, where ``pairwise`` is
+
+* ``d < 8``: sequential adds;
+* ``d <= 128``: eight strided accumulators ``r[j] = row[j] + row[j+8] +
+  ...`` folded as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+  ``d mod 8`` tail added sequentially;
+* ``d > 128``: the two halves, split at a multiple of 8, summed
+  recursively and added.
+
+Running each of those adds as one whole-column vector add over a
+``(d, n)`` block gives every column the bits its row reduce would — and it
+is several times faster than reducing ``n`` short rows one by one, which is
+why :func:`flat_l2` takes column-major ``(d, m)`` blocks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,6 +56,14 @@ __all__ = [
 #: (~64 MiB).  Chunking slices the *query* axis only, so each output row is
 #: still produced by one contiguous last-axis reduction — bit-identity holds.
 _MAX_BUFFER_ELEMS = 1 << 23
+
+#: Entry count below which :func:`flat_l2` scores rows instead of columns:
+#: under it a column pass's fixed per-call cost (a dozen whole-column ops)
+#: outweighs the row reduce's per-row cost (break-even measured near 256
+#: entries of 8-d rows).  Both paths give the same bits, so this is a
+#: speed choice only.  ``ExtendedIDistance``'s batch scan pools segments
+#: shorter than this across queries into one call.
+_BATCH_SEG_VIEW_MIN = 256
 
 
 def require_kernel_matrix(name: str, arr: np.ndarray) -> np.ndarray:
@@ -118,39 +142,119 @@ def batch_l2_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def flat_l2(
-    points: np.ndarray, positions: np.ndarray, queries: np.ndarray,
-    query_of_entry: np.ndarray,
+def _pairwise_rows(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Column sums of ``sq[lo:hi]`` in numpy's pairwise order (module
+    docstring): column ``e`` is bit-identical to ``np.add.reduce`` of the
+    contiguous row ``sq[lo:hi, e]``.
+
+    Works in place: the sums land in row ``sq[lo]``, which is returned,
+    and rows ``lo..hi-1`` are overwritten on the way, so no temporary
+    the size of ``sq`` is allocated."""
+    n = hi - lo
+    res = sq[lo]
+    if n < 8:
+        for i in range(lo + 1, hi):
+            res += sq[i]
+        return res
+    if n <= 128:
+        acc = sq[lo : lo + 8]
+        body = lo + n - n % 8
+        for i in range(lo + 8, body, 8):
+            acc += sq[i : i + 8]
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), folded into r0 one
+        # contiguous row at a time.
+        for step in (1, 2, 4):
+            for j in range(0, 8, 2 * step):
+                row = acc[j]
+                row += acc[j + step]
+        for i in range(body, hi):
+            res += sq[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    _pairwise_rows(sq, lo, lo + half)
+    res += _pairwise_rows(sq, lo + half, hi)
+    return res
+
+
+def _l2_columns(
+    cols: np.ndarray, q: np.ndarray, scratch: bool
 ) -> np.ndarray:
-    """Per-entry distances ``||points[positions[e]] - queries[query_of_entry[e]]||``.
+    """``||cols[:, e] - q[:, e]||`` per column (``q`` may broadcast), each
+    bit-identical to ``np.linalg.norm`` of the two rows' difference.
+    ``scratch`` says ``cols`` is a fresh array this call may overwrite."""
+    width, n = cols.shape
+    if n < _BATCH_SEG_VIEW_MIN or width == 0:
+        # Few entries: the row reduce, on C-ordered rows (the reduce's
+        # summation order depends on the row layout).
+        rows = np.subtract(cols.T, q.T, order="C")
+        rows *= rows
+        out = np.add.reduce(rows, axis=1)
+    else:
+        diff = np.subtract(cols, q, out=cols if scratch else None)
+        diff *= diff
+        out = _pairwise_rows(diff, 0, width)
+    np.sqrt(out, out=out)
+    return out
 
-    This is the shared-scan kernel: every (query, candidate) pair the batch
-    scan needs is one row of a single ``(N, d)`` elementwise subtraction, so
-    no distances are computed for pairs no query asked for, and each entry is
-    bit-identical to the sequential per-block
-    ``np.linalg.norm(block - q_proj, axis=1)``.
 
-    Large gathers are chunked along the entry axis so the two gathered
-    ``(N, d)`` temporaries stay cache-friendly instead of forcing fresh
-    multi-hundred-MB allocations; rows are independent, so chunk boundaries
-    cannot affect bit-identity.
+def flat_l2(
+    points: np.ndarray,
+    positions: Union[np.ndarray, slice],
+    queries: np.ndarray,
+    query_of_entry: Union[np.ndarray, int],
+) -> np.ndarray:
+    """Per-entry distances ``||points[:, p[e]] - queries[:, o[e]]||`` for
+    ``p = positions`` and ``o = query_of_entry``.
+
+    The one scorer of the iDistance scan.  Both operands are column-major
+    blocks: ``points`` is ``(d, m)`` (a partition's vectors, one row per
+    dimension) and ``queries`` is ``(d, Q)``.  ``positions`` is either an
+    int array — a gather, e.g. many queries' short segments pooled into one
+    call, with ``query_of_entry`` naming each entry's query — or a
+    ``slice`` selecting one contiguous run of columns, scored on a view
+    with no gather copy; ``query_of_entry`` may then be one int for every
+    entry.  Each entry is bit-identical to the per-block
+    ``np.linalg.norm(rows - q, axis=1)`` over the same row vectors.
+
+    Large inputs are chunked along the entry axis so the temporaries stay
+    bounded; entries are independent, so chunk boundaries cannot affect
+    bit-identity.
 
     ``points`` and ``queries`` must already be C-contiguous float64 (see
     :func:`require_kernel_matrix`).
     """
     points = require_kernel_matrix("points", points)
     queries = require_kernel_matrix("queries", queries)
-    n = positions.size
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    d = points.shape[1]
-    out = np.empty(n, dtype=np.float64)
-    chunk = max(1, _MAX_BUFFER_ELEMS // (4 * max(1, d)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = points[positions[lo:hi]] - queries[query_of_entry[lo:hi]]
-        out[lo:hi] = np.linalg.norm(diff, axis=1)
-    return out
+    one_query = isinstance(query_of_entry, (int, np.integer))
+    contiguous = isinstance(positions, slice)
+    if contiguous:
+        cols = points[:, positions]
+        n = cols.shape[1]
+    else:
+        n = positions.size
+    chunk = max(1, _MAX_BUFFER_ELEMS // (4 * max(1, points.shape[0])))
+    if n > chunk:
+        # Entries are independent: score bounded chunks and concatenate.
+        first = positions.indices(points.shape[1])[0] if contiguous else 0
+        return np.concatenate([
+            flat_l2(
+                points,
+                slice(first + lo, first + min(lo + chunk, n))
+                if contiguous else positions[lo : lo + chunk],
+                queries,
+                query_of_entry if one_query
+                else query_of_entry[lo : lo + chunk],
+            )
+            for lo in range(0, n, chunk)
+        ])
+    if not contiguous:  # take() gathers straight into a C-ordered block
+        cols = np.take(points, positions, axis=1)
+    if one_query:
+        q = queries[:, query_of_entry, None]
+    else:
+        q = np.take(queries, query_of_entry, axis=1)
+    return _l2_columns(cols, q, not contiguous)
 
 
 def batch_mahalanobis_rows(

@@ -46,8 +46,10 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes incompatibly; loaders refuse
-#: versions they do not understand instead of guessing.
-SNAPSHOT_FORMAT_VERSION = 1
+#: versions they do not understand instead of guessing.  Version 2: the
+#: iDistance partitions pickle their bulk vectors column-major
+#: (``_Partition.columns``, ``(width, m)``) instead of as ``(m, width)`` rows.
+SNAPSHOT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 STATE_NAME = "state.pkl"

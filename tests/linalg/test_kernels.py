@@ -60,38 +60,96 @@ class TestBatchL2Rows:
         assert batch_l2_rows(np.empty((5, 4)), np.empty((0, 4))).shape == (0, 5)
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
 class TestFlatL2:
+    """``flat_l2`` scores column-major ``(d, m)`` blocks; every entry must
+    carry the bits of the row-major ``np.linalg.norm(rows - q, axis=1)``."""
+
     def test_entries_bit_identical_to_per_block_norm(self, rng):
-        points = rng.normal(size=(200, 6))
+        rows = rng.normal(size=(200, 6))
         queries = rng.normal(size=(4, 6))
         positions = rng.integers(0, 200, size=150)
         owner = rng.integers(0, 4, size=150)
-        out = flat_l2(points, positions, queries, owner)
+        out = flat_l2(
+            np.ascontiguousarray(rows.T), positions,
+            np.ascontiguousarray(queries.T), owner,
+        )
         for q in range(4):
             mask = owner == q
-            block = np.linalg.norm(points[positions[mask]] - queries[q], axis=1)
-            assert np.array_equal(out[mask], block)
+            block = np.linalg.norm(rows[positions[mask]] - queries[q], axis=1)
+            assert np.array_equal(_bits(out[mask]), _bits(block))
+
+    @pytest.mark.parametrize(
+        "width",
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 64, 127, 128, 129, 136, 256, 300],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 5000])
+    def test_bit_identical_to_row_norm_across_the_row_column_cut(
+        self, width, n
+    ):
+        """Both sides of the row/column cut, every branch of numpy's
+        pairwise tree (sequential, eight accumulators plus tail, recursive
+        halves), gathered and contiguous.  This is the tripwire for a numpy
+        build that reduces a row in another order."""
+        rng = np.random.default_rng(1000 * width + n)
+        m = n + 7
+        # Per-dimension scales spread the squared terms over many binades,
+        # so any change of summation order shows in the last bits.
+        rows = rng.normal(size=(m, width)) * rng.uniform(
+            1e-3, 1e3, size=(1, width)
+        )
+        queries = rng.normal(size=(5, width))
+        columns = np.ascontiguousarray(rows.T)
+        query_columns = np.ascontiguousarray(queries.T)
+
+        positions = rng.integers(0, m, size=n)
+        owner = rng.integers(0, 5, size=n)
+        gathered = flat_l2(columns, positions, query_columns, owner)
+        expected = np.linalg.norm(rows[positions] - queries[owner], axis=1)
+        assert np.array_equal(_bits(gathered), _bits(expected))
+
+        contiguous = flat_l2(columns, slice(3, 3 + n), query_columns, 2)
+        expected = np.linalg.norm(rows[3 : 3 + n] - queries[2], axis=1)
+        assert np.array_equal(_bits(contiguous), _bits(expected))
 
     def test_chunking_preserves_bit_identity(self, rng, monkeypatch):
         import repro.linalg.kernels as kernels
 
-        points = rng.normal(size=(50, 5))
-        queries = rng.normal(size=(3, 5))
-        positions = rng.integers(0, 50, size=40)
-        owner = rng.integers(0, 3, size=40)
-        full = flat_l2(points, positions, queries, owner)
+        columns = np.ascontiguousarray(rng.normal(size=(5, 600)))
+        queries = np.ascontiguousarray(rng.normal(size=(5, 3)))
+        positions = rng.integers(0, 600, size=500)
+        owner = rng.integers(0, 3, size=500)
+        full = flat_l2(columns, positions, queries, owner)
+        run = flat_l2(columns, slice(40, 540), queries, 1)
         monkeypatch.setattr(kernels, "_MAX_BUFFER_ELEMS", 1)
-        chunked = flat_l2(points, positions, queries, owner)
+        chunked = flat_l2(columns, positions, queries, owner)
         assert np.array_equal(full, chunked)
+        chunked = flat_l2(columns, slice(40, 540), queries, 1)
+        assert np.array_equal(run, chunked)
+
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_contiguous_run_leaves_points_untouched(self, rng, m):
+        """The kernel works in place on its own temporaries only; a
+        contiguous run is a view of the caller's block (row path at
+        ``m=1``, column path at ``m=300``)."""
+        columns = np.ascontiguousarray(rng.normal(size=(4, m)))
+        before = columns.copy()
+        flat_l2(columns, slice(None), np.ones((4, 1)), 0)
+        assert np.array_equal(columns, before)
 
     def test_empty(self):
         out = flat_l2(
-            np.empty((0, 3)),
+            np.empty((3, 0)),
             np.empty(0, dtype=np.int64),
-            np.empty((0, 3)),
+            np.empty((3, 0)),
             np.empty(0, dtype=np.int64),
         )
-        assert out.size == 0
+        assert out.shape == (0,)
+        out = flat_l2(np.empty((3, 0)), slice(None), np.zeros((3, 1)), 0)
+        assert out.shape == (0,)
 
 
 def _reference_lru(sequence, capacity):
@@ -145,18 +203,24 @@ class TestColdLruPhysicalReads:
 
 class TestInputGuard:
     """The query-path kernels take C-contiguous float64 2-D operands and
-    raise on anything else instead of silently copying it per call."""
+    raise on anything else instead of silently copying it per call.
+    ``batch_l2_rows`` takes ``(n, d)`` rows, ``flat_l2`` ``(d, m)`` column
+    blocks; the guard is the same for both layouts."""
 
     def test_guards_dtype_and_layout(self, rng):
-        points = rng.normal(size=(50, 6))
-        queries = rng.normal(size=(4, 6))
         positions = np.arange(8, dtype=np.int64)
         query_of_entry = np.repeat(np.arange(4, dtype=np.int64), 2)
 
         def flat(p, q):
             return flat_l2(p, positions, q, query_of_entry)
 
-        for kernel in (batch_l2_rows, flat):
+        rows, row_queries = rng.normal(size=(50, 6)), rng.normal(size=(4, 6))
+        columns = np.ascontiguousarray(rows.T)
+        query_columns = np.ascontiguousarray(row_queries.T)
+        for kernel, points, queries in (
+            (batch_l2_rows, rows, row_queries),
+            (flat, columns, query_columns),
+        ):
             for p, q in ((points, queries.astype(np.float32)),
                          (points.astype(np.float32), queries)):
                 with pytest.raises(TypeError, match="float64"):
@@ -170,6 +234,15 @@ class TestInputGuard:
                          (points, queries[None, :, :])):
                 with pytest.raises(ValueError, match="2-d"):
                     kernel(p, q)
+
+    def test_flat_l2_rejects_row_views_of_a_column_block(self, rng):
+        """A partition's ``vectors`` rows are a transposed view of its
+        column block: handing them to ``flat_l2`` must raise, not score
+        through a silent per-call copy."""
+        rows = rng.normal(size=(50, 6))
+        query_columns = np.ascontiguousarray(rng.normal(size=(6, 2)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            flat_l2(rows.T, slice(None), query_columns, 0)
 
 
 def test_traced_binding_point_reexports_the_kernel_objects():

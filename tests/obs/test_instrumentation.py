@@ -74,6 +74,30 @@ class TestQueryBatchTracing:
         misses = m.counter("buffer.misses").value
         assert hits + misses > 0
 
+    def test_batch_and_live_expansion_histograms_agree(
+        self, reduced, workload
+    ):
+        """``knn_batch`` records one ``knn.expansions_per_query``
+        observation per query, the same ones a ``knn`` loop records."""
+        _, red = reduced
+        index = ExtendedIDistance(red)
+        live, batch = Tracer(), Tracer()
+        for query in workload.queries:
+            index.knn(query, workload.k, tracer=live)
+        index.knn_batch(workload.queries, workload.k, tracer=batch)
+        name = "knn.expansions_per_query"
+        want = live.metrics.histogram(name)
+        got = batch.metrics.histogram(name)
+        assert got.count == want.count == workload.n_queries
+        assert got.counts == want.counts
+        assert got.overflow == want.overflow
+        assert got.total == want.total
+        assert (
+            batch.metrics.counter("knn.radius_expansions").value
+            == live.metrics.counter("knn.radius_expansions").value
+            == want.total
+        )
+
     def test_results_bit_identical_with_and_without_tracer(
         self, reduced, workload
     ):
