@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -493,22 +493,26 @@ class MMDR:
             return groups
         # Stable keys let us memoize failed pairs: a pair is only retried if
         # one of its groups was itself replaced by a merge since the attempt.
-        # A group's centroid never changes, so it is computed once per key.
+        # A group's centroid and radius never change, so they are computed
+        # once per key.
         next_key = 0
         keyed = []
         for g in groups:
             keyed.append((next_key, g))
             next_key += 1
         failed: set = set()
-        centroid_of: Dict[int, np.ndarray] = {}
+        extent_of: Dict[int, Tuple[np.ndarray, float]] = {}
 
         merged = True
         while merged and len(keyed) > 1:
             merged = False
             for key, g in keyed:
-                if key not in centroid_of:
-                    centroid_of[key] = data[g.member_ids].mean(axis=0)
-            centroids = np.vstack([centroid_of[key] for key, _ in keyed])
+                if key not in extent_of:
+                    points = data[g.member_ids]
+                    centroid = points.mean(axis=0)
+                    radius = np.linalg.norm(points - centroid, axis=1).max()
+                    extent_of[key] = (centroid, float(radius))
+            centroids = np.vstack([extent_of[key][0] for key, _ in keyed])
             # Every pair (i < j) by centroid distance, ties by (i, j).
             ii, jj = np.triu_indices(len(keyed), k=1)
             dists = np.linalg.norm(centroids[ii] - centroids[jj], axis=1)
@@ -519,7 +523,9 @@ class MMDR:
                 pair = (min(key_i, key_j), max(key_i, key_j))
                 if pair in failed:
                     continue
-                union = self._try_merge(data, group_i, group_j)
+                union = self._try_merge(
+                    data, group_i, group_j, extent_of[key_i], extent_of[key_j]
+                )
                 if union is None:
                     failed.add(pair)
                     continue
@@ -538,9 +544,13 @@ class MMDR:
         data: np.ndarray,
         a: CandidateEllipsoid,
         b: CandidateEllipsoid,
+        extent_a: Tuple[np.ndarray, float],
+        extent_b: Tuple[np.ndarray, float],
     ) -> Optional[CandidateEllipsoid]:
         """The merged candidate if the union is one ellipsoid, else ``None``.
 
+        ``extent_a`` and ``extent_b`` are each group's ``(centroid,
+        radius)``: the member mean and the largest member distance from it.
         Two gates run before the expensive joint PCA:
 
         * *proximity*: the groups' extents must overlap (centroid distance
@@ -556,17 +566,9 @@ class MMDR:
         cluster over-segmented at a low level (e.g. thin k-means slices)
         re-merges at the level its full shape actually needs.
         """
-        a_points = data[a.member_ids]
-        b_points = data[b.member_ids]
-        centroid_a = a_points.mean(axis=0)
-        centroid_b = b_points.mean(axis=0)
+        centroid_a, radius_a = extent_a
+        centroid_b, radius_b = extent_b
         gap = float(np.linalg.norm(centroid_a - centroid_b))
-        radius_a = float(
-            np.linalg.norm(a_points - centroid_a, axis=1).max()
-        )
-        radius_b = float(
-            np.linalg.norm(b_points - centroid_b, axis=1).max()
-        )
         if gap > radius_a + radius_b:
             return None
         # Mutual representability: each group's centroid must be roughly

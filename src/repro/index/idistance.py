@@ -686,18 +686,22 @@ class ExtendedIDistance(VectorIndex):
         """The search engine: exact KNN for every row of ``queries``.
 
         Every query expands its search radius in lockstep.  Per partition
-        and radius step, the still-active queries' directional block
-        boundaries come from *vectorized* searchsorted calls.  Every
-        candidate is scored by :func:`~repro.linalg.kernels.flat_l2` on
-        the partition's column-major block, bit-identical to a per-block
-        ``np.linalg.norm(rows - q, axis=1)``: the queries' short
-        not-yet-visited segments go through ONE gathered call, long
-        segments (and every segment of a lone query) through one call
-        each on a contiguous column view.  Only top-K heap maintenance
-        stays per query, consuming each query's segments in scan order
-        (inward then outward, ascending positions, with the k-th-best
-        pre-filter refreshed between segments) so heap tie behavior is
-        fixed.
+        and radius step, one plain Python loop walks the still-active
+        queries: the first-contact gate, the search bound and both scan
+        windows are scalar ``searchsorted`` calls on the partition's
+        ``offsets``, and every other piece of per-query state (scan
+        positions, k-th best, contact, the active set) lives in lists.
+        Every candidate is scored by :func:`~repro.linalg.kernels.flat_l2`
+        on the partition's column-major block, bit-identical to a
+        per-block ``np.linalg.norm(rows - q, axis=1)``.  A query's inward
+        and outward windows are adjacent from first contact until either
+        one has been scanned, and are then scored as one run.  When more
+        than one query is in contact, the short runs go through ONE
+        gathered call; long runs (and every run of a lone query) get one
+        call each on a contiguous column view.  Top-K heap maintenance
+        consumes each query's windows in scan order (inward then outward,
+        ascending positions, with the k-th-best pre-filter refreshed
+        between them) so heap tie behavior is fixed.
 
         Costs go to ``sinks`` (one per query): a :class:`_QueryLedger`
         records them for :meth:`_knn_batch` to settle, a :class:`_LiveSink`
@@ -717,14 +721,13 @@ class ExtendedIDistance(VectorIndex):
         n_parts = len(self.partitions)
         tombs = self._tombstone_array()
         last_tomb = tombs.size - 1
-        tomb_set = getattr(self, "_tombstones", ())
 
         # Per-partition query geometry.  Projections stay per-query gemv
         # calls (a stacked gemm is NOT bit-identical to gemv rows — see
         # repro.linalg.kernels), written as the columns of one (width, Q)
         # block per partition: the layout flat_l2 scores against.
         q_cols: List[np.ndarray] = []
-        q_dist = np.empty((n_parts, n_queries), dtype=np.float64)
+        q_dist: List[List[float]] = []
         with (NULL_TRACER if live else tracer).span(
             "knn.batch.project_queries",
             n_queries=n_queries,
@@ -736,7 +739,7 @@ class ExtendedIDistance(VectorIndex):
                     dtype=np.float64,
                 )
                 centroid = partition.centroid
-                row = q_dist[partition.index]
+                row = [0.0] * n_queries
                 subspace = partition.subspace
                 # sqrt(x·x) below is bit-identical to np.linalg.norm on
                 # a 1-d vector (norm computes exactly this) at a fraction
@@ -755,22 +758,22 @@ class ExtendedIDistance(VectorIndex):
                         diff = queries[i] - centroid
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 q_cols.append(block)
+                q_dist.append(row)
 
         # Column-stacked copies of the partitions' delta stores (dynamic
-        # inserts), built on a partition's first contact.
-        delta_blocks: Dict[int, np.ndarray] = {}
+        # inserts) and their rids, built on a partition's first contact.
+        delta_blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-        sizes = np.array(
-            [p.size for p in self.partitions], dtype=np.int64
-        )
-        nonempty = sizes > 0
-        if nonempty.any():
-            radii = np.array([p.max_radius for p in self.partitions])
-            max_needed = (
-                q_dist[nonempty] + radii[nonempty, None]
-            ).max(axis=0)
-        else:
-            max_needed = np.zeros(n_queries)
+        # Past this radius every partition's keys are consumed for a query.
+        reach = [
+            (q_dist[p.index], p.max_radius)
+            for p in self.partitions
+            if p.size > 0
+        ]
+        max_needed = [
+            max(row[qi] + rim for row, rim in reach) if reach else 0.0
+            for qi in range(n_queries)
+        ]
 
         heaps: List[List[Tuple[float, int]]] = [
             [] for _ in range(n_queries)
@@ -783,12 +786,15 @@ class ExtendedIDistance(VectorIndex):
         # next merge can reuse them instead of re-extracting per entry.
         heap_lazy = bytearray(n_queries)
         heap_dist: List[Optional[np.ndarray]] = [None] * n_queries
-        kth = np.full(n_queries, np.inf)
-        active = np.ones(n_queries, dtype=bool)
-        contacted = np.zeros((n_parts, n_queries), dtype=bool)
-        in_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
-        out_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
-        expansions = np.zeros(n_queries, dtype=np.int64)
+        kth = [math.inf] * n_queries
+        # Per partition and query: contact flag, then the inward scan's
+        # exclusive stop and the outward scan's start.  Positions [in, out)
+        # are consumed; an exhausted direction parks at 0 or at the bulk
+        # size.
+        contacted = [bytearray(n_queries) for _ in range(n_parts)]
+        in_stop = [[0] * n_queries for _ in range(n_parts)]
+        out_start = [[0] * n_queries for _ in range(n_parts)]
+        expansions = [0] * n_queries
 
         leaf_pages = self._leaf_pages
         leaf_runs = self._leaf_runs
@@ -810,235 +816,197 @@ class ExtendedIDistance(VectorIndex):
             for partition in self.partitions
         ]
 
-        def probe(partition: _Partition, act: np.ndarray) -> None:
+        def offer(qi: int, seg_d: np.ndarray, seg_r: np.ndarray) -> None:
+            """Merge scored candidates (a scanned window, or a delta
+            store) into query ``qi``'s top-K heap."""
+            heap = heaps[qi]
+            if tombs.size:
+                # Membership in the sorted tombstone array (np.isin
+                # costs tens of microseconds a call at any size).
+                hit = np.searchsorted(tombs, seg_r)
+                alive = tombs[np.minimum(hit, last_tomb)] != seg_r
+                seg_d = seg_d[alive]
+                seg_r = seg_r[alive]
+            # kth[qi] is maintained at every heap mutation, so it IS the
+            # query's current k-th best here.
+            current = kth[qi]
+            if current != math.inf:
+                keep = seg_d < current
+                seg_d = seg_d[keep]
+                seg_r = seg_r[keep]
+            if seg_d.size >= 48:
+                # Vectorized top-K merge.  Heap behavior depends only on
+                # heap *content* (heapq always pops the minimum tuple), and
+                # streaming offers with a strict < keep exactly the k
+                # smallest of {heap ∪ segment} whenever the k-th smallest
+                # distance is unique in that union; only a tie at the
+                # selection boundary is order-dependent, and then we fall
+                # back to the literal offer loop.  Either way the resulting
+                # content — and so every later comparison — is
+                # bit-identical.
+                inc = heap_dist[qi]
+                if inc is None:
+                    inc = np.array(
+                        [-entry[0] for entry in heap], dtype=np.float64
+                    )
+                    heap_dist[qi] = inc
+                union_d = np.concatenate([inc, seg_d])
+                if union_d.size > k_eff:
+                    top = np.argpartition(union_d, k_eff - 1)[:k_eff]
+                    boundary = union_d[top].max()
+                    if int((union_d == boundary).sum()) == 1:
+                        n_inc = len(heap)
+                        heaps[qi] = [
+                            heap[t]
+                            if t < n_inc
+                            else (
+                                -float(seg_d[t - n_inc]),
+                                int(seg_r[t - n_inc]),
+                            )
+                            for t in top.tolist()
+                        ]
+                        heap_dist[qi] = union_d[top]
+                        heap_lazy[qi] = 1
+                        kth[qi] = float(boundary)
+                        return
+            if heap_lazy[qi]:
+                heapq.heapify(heap)
+                heap_lazy[qi] = 0
+            heap_dist[qi] = None
+            for dist, rid in zip(seg_d.tolist(), seg_r.tolist()):
+                if len(heap) < k_eff:
+                    heapq.heappush(heap, (-dist, rid))
+                elif dist < -heap[0][0]:
+                    heapq.heapreplace(heap, (-dist, rid))
+            kth[qi] = -heap[0][0] if len(heap) == k_eff else math.inf
+
+        def probe(partition: _Partition, act: List[int]) -> None:
             """Advance every active query's scan of one partition to cover
             the key interval ``[d_i - radius, d_i + radius]``."""
             p = partition.index
             offsets, columns, rids_all, page_of_entry, rank0, width = plans[p]
-            bulk = offsets.size
             Qc = q_cols[p]
+            qd = q_dist[p]
+            touched = contacted[p]
+            ins = in_stop[p]
+            outs = out_start[p]
+            min_r = partition.min_radius
+            max_r = partition.max_radius
 
-            # First contact per query: the annulus-intersection gate, the
-            # tree descent to the seek leaf, and the delta-store scoring.
-            fresh = act[~contacted[p, act]]
-            if fresh.size:
-                d_f = q_dist[p, fresh]
-                touch = (d_f - radius <= partition.max_radius) & (
-                    d_f + radius >= partition.min_radius
-                )
-                for qi in fresh[touch].tolist():
-                    d_i = float(q_dist[p, qi])
+            # Each query's window: [lo, cut) inward and [cut, hi) outward
+            # while the two are adjacent, else one run per non-empty side.
+            runs: List[Tuple[int, int, int, int]] = []
+            n_contact = 0
+            for qi in act:
+                d_i = qd[qi]
+                if not touched[qi]:
+                    # First contact: the annulus-intersection gate, the
+                    # tree descent to the seek leaf, and the delta-store
+                    # scoring.
+                    if d_i - radius > max_r or d_i + radius < min_r:
+                        continue
                     sink = sinks[qi]
-                    seek = min(
-                        max(d_i, partition.min_radius),
-                        partition.max_radius,
-                    )
+                    seek = min(max(d_i, min_r), max_r)
                     sink.descend(tree, p * c + seek)
-                    pos = int(np.searchsorted(offsets, seek))
-                    in_pos[p, qi] = pos - 1
-                    out_pos[p, qi] = pos
-                    contacted[p, qi] = True
+                    ins[qi] = outs[qi] = int(offsets.searchsorted(seek))
+                    touched[qi] = 1
                     if partition.delta_rids:
                         for page in partition.delta_pages:
                             sink.read_range(page, page)
-                        dblock = delta_blocks.get(p)
-                        if dblock is None:
+                        delta = delta_blocks.get(p)
+                        if delta is None:
                             # (width, n) C-ordered: the transpose of an
                             # F-ordered row stack, built in one copy.
-                            dblock = np.array(
-                                partition.delta_vectors, order="F"
-                            ).T
-                            delta_blocks[p] = dblock
-                        ddists = flat_l2(dblock, slice(None), Qc, qi)
+                            delta = delta_blocks[p] = (
+                                np.array(
+                                    partition.delta_vectors, order="F"
+                                ).T,
+                                np.array(partition.delta_rids, np.int64),
+                            )
+                        ddists = flat_l2(delta[0], slice(None), Qc, qi)
                         sink.count_distance(ddists.size, width)
-                        heap = heaps[qi]
-                        if heap_lazy[qi]:
-                            heapq.heapify(heap)
-                            heap_lazy[qi] = 0
-                        heap_dist[qi] = None
-                        for dist, rid in zip(
-                            ddists.tolist(), partition.delta_rids
-                        ):
-                            if rid in tomb_set:
-                                continue
-                            if len(heap) < k_eff:
-                                heapq.heappush(heap, (-dist, rid))
-                            elif dist < -heap[0][0]:
-                                heapq.heapreplace(heap, (-dist, rid))
-                        kth[qi] = (
-                            -heap[0][0] if len(heap) == k_eff else np.inf
-                        )
+                        offer(qi, ddists, delta[1])
+                n_contact += 1
+                bound = kth[qi] if kth[qi] < radius else radius
+                in_hi = ins[qi]
+                in_lo = int(offsets.searchsorted(d_i - bound))
+                if in_lo < in_hi:
+                    ins[qi] = in_lo
+                else:
+                    in_lo = in_hi
+                out_lo = outs[qi]
+                out_hi = int(offsets.searchsorted(d_i + bound, "right"))
+                if out_hi > out_lo:
+                    outs[qi] = out_hi
+                else:
+                    out_hi = out_lo
+                if in_hi == out_lo:
+                    if in_lo < out_hi:
+                        runs.append((qi, in_lo, in_hi, out_hi))
+                else:
+                    if in_lo < in_hi:
+                        runs.append((qi, in_lo, in_hi, in_hi))
+                    if out_lo < out_hi:
+                        runs.append((qi, out_lo, out_lo, out_hi))
+            if not runs:
+                return
 
-            sub = act[contacted[p, act]]
-            if sub.size == 0 or bulk == 0:
-                return
-            d_vec = q_dist[p, sub]
-            # Per-query search bound, then both directions' block
-            # boundaries, all in four vectorized searchsorted/compare ops.
-            # An exhausted direction parks at -1 (inward) or bulk
-            # (outward).
-            bound = np.minimum(radius, kth[sub])
-            i_hi = in_pos[p, sub]  # inclusive
-            i_lo = np.searchsorted(offsets, d_vec - bound, side="left")
-            i_has = (i_hi >= 0) & (i_lo <= i_hi)
-            o_lo = out_pos[p, sub]
-            o_hi = np.searchsorted(offsets, d_vec + bound, side="right")
-            o_has = (o_lo < bulk) & (o_hi > o_lo)
-            if not (i_has.any() or o_has.any()):
-                return
-            in_start = np.where(i_has, i_lo, 0)
-            in_stop = np.where(i_has, i_hi + 1, 0)
-            out_start = np.where(o_has, o_lo, 0)
-            out_stop = np.where(o_has, o_hi, 0)
-            in_pos[p, sub[i_has]] = i_lo[i_has] - 1
-            out_pos[p, sub[o_has]] = o_hi[o_has]
-
-            # Interleave [inward, outward] segments per query.  Long
-            # segments are scored one by one on contiguous column views
-            # (no gather copy); in a block of queries everything shorter
-            # is pooled into ONE gathered flat_l2 call, so small
-            # per-query slabs don't pay a kernel call each.
-            starts = np.column_stack([in_start, out_start]).ravel()
-            stops = np.column_stack([in_stop, out_stop]).ravel()
-            lens = stops - starts
-            if not lens.any():
-                return
-            # A lone query has nothing to share a gather with: all of its
-            # segments are scored on views.
-            small = lens < (_BATCH_SEG_VIEW_MIN if sub.size > 1 else 0)
-            if small.any():
-                small_lens = np.where(small, lens, 0)
-                flat = multi_arange(starts, np.where(small, stops, starts))
-                entry_q = np.repeat(np.repeat(sub, 2), small_lens)
+            # In a block of queries every short run is pooled into ONE
+            # gathered flat_l2 call, so small per-query slabs don't pay a
+            # kernel call each; a lone query has nothing to share a gather
+            # with.
+            pool_below = _BATCH_SEG_VIEW_MIN if n_contact > 1 else 0
+            pooled = [run for run in runs if run[3] - run[1] < pool_below]
+            if pooled:
+                run_q, run_lo, _, run_hi = zip(*pooled)
+                lo_arr = np.array(run_lo, dtype=np.int64)
+                hi_arr = np.array(run_hi, dtype=np.int64)
+                flat = multi_arange(lo_arr, hi_arr)
+                entry_q = np.repeat(
+                    np.array(run_q, dtype=np.int64), hi_arr - lo_arr
+                )
                 dists_flat = flat_l2(columns, flat, Qc, entry_q)
                 rids_flat = rids_all[flat]
-                seg_start_list = np.concatenate(
-                    [[0], np.cumsum(small_lens)[:-1]]
-                ).tolist()
-
-            # Hoist all per-segment I/O-replay lookups out of the Python
-            # loop: leaf/data page bounds for every segment in four array
-            # ops, materialized as plain-int lists once.  Empty segments
-            # (stop == start) index position 0 / start harmlessly; the
-            # loop skips them before the values are used.
-            safe_hi = np.maximum(stops - 1, starts)
-            leaf_a_arr = (rank0 + starts) // fill
-            leaf_b_arr = (rank0 + safe_hi) // fill
-            if leaf_runs:
-                leaf_lo_list = leaf_pages[leaf_a_arr].tolist()
-                leaf_hi_list = leaf_pages[leaf_b_arr].tolist()
-            else:
-                leaf_a_list = leaf_a_arr.tolist()
-                leaf_b_list = leaf_b_arr.tolist()
-            pg_lo_list = page_of_entry[starts].tolist()
-            pg_hi_list = page_of_entry[safe_hi].tolist()
-            lens_list = lens.tolist()
-            starts_list = starts.tolist()
-            small_list = small.tolist()
-            sub_list = sub.tolist()
-
-            per_q = lens[0::2] + lens[1::2]
-            for j in np.flatnonzero(per_q > 0).tolist():
-                qi = sub_list[j]
+            s0 = 0
+            for qi, lo, cut, hi in runs:
+                n = hi - lo
+                if n < pool_below:
+                    run_d = dists_flat[s0 : s0 + n]
+                    run_r = rids_flat[s0 : s0 + n]
+                    s0 += n
+                else:
+                    run = slice(lo, hi)
+                    run_d = flat_l2(columns, run, Qc, qi)
+                    run_r = rids_all[run]
+                if lo == cut or cut == hi:
+                    sides = ((lo, hi, run_d, run_r),)
+                else:
+                    m = cut - lo
+                    sides = (
+                        (lo, cut, run_d[:m], run_r[:m]),
+                        (cut, hi, run_d[m:], run_r[m:]),
+                    )
                 sink = sinks[qi]
-                heap = heaps[qi]
-                for seg in (2 * j, 2 * j + 1):
-                    ln = lens_list[seg]
-                    if ln == 0:
-                        continue
-                    # I/O: the leaf run covering the block's entry ranks,
+                for a, b, seg_d, seg_r in sides:
+                    # I/O: the leaf run covering the window's entry ranks,
                     # then its contiguous data-page run.
+                    leaf_a = (rank0 + a) // fill
+                    leaf_b = (rank0 + b - 1) // fill
                     if leaf_runs:
                         sink.read_range(
-                            leaf_lo_list[seg], leaf_hi_list[seg]
+                            leaf_pages.item(leaf_a), leaf_pages.item(leaf_b)
                         )
                     else:
-                        for leaf_idx in range(
-                            leaf_a_list[seg], leaf_b_list[seg] + 1
-                        ):
-                            page = int(leaf_pages[leaf_idx])
+                        for leaf_idx in range(leaf_a, leaf_b + 1):
+                            page = leaf_pages.item(leaf_idx)
                             sink.read_range(page, page)
-                    sink.read_range(pg_lo_list[seg], pg_hi_list[seg])
-                    sink.count_scan(ln, width)
-                    if small_list[seg]:
-                        s0 = seg_start_list[seg]
-                        seg_d = dists_flat[s0 : s0 + ln]
-                        seg_r = rids_flat[s0 : s0 + ln]
-                    else:
-                        lo_pos = starts_list[seg]
-                        run = slice(lo_pos, lo_pos + ln)
-                        seg_d = flat_l2(columns, run, Qc, qi)
-                        seg_r = rids_all[run]
-                    if tombs.size:
-                        # Membership in the sorted tombstone array (np.isin
-                        # costs tens of microseconds a call at any size).
-                        hit = np.searchsorted(tombs, seg_r)
-                        alive = tombs[np.minimum(hit, last_tomb)] != seg_r
-                        seg_d = seg_d[alive]
-                        seg_r = seg_r[alive]
-                    # kth[qi] is maintained at every heap mutation, so it
-                    # IS the query's current k-th best here.
-                    current = kth[qi]
-                    if current != np.inf:
-                        keep = seg_d < current
-                        seg_d = seg_d[keep]
-                        seg_r = seg_r[keep]
-                    if seg_d.size >= 48:
-                        # Vectorized top-K merge.  Heap behavior depends
-                        # only on heap *content* (heapq always pops the
-                        # minimum tuple), and streaming offers with a
-                        # strict < keep exactly the k smallest of
-                        # {heap ∪ segment} whenever the k-th smallest
-                        # distance is unique in that union; only a tie
-                        # at the selection boundary is order-dependent,
-                        # and then we fall back to the literal offer
-                        # loop.  Either way the resulting content — and
-                        # so every later comparison — is bit-identical.
-                        inc = heap_dist[qi]
-                        if inc is None:
-                            inc = np.array(
-                                [-entry[0] for entry in heap],
-                                dtype=np.float64,
-                            )
-                            heap_dist[qi] = inc
-                        union_d = np.concatenate([inc, seg_d])
-                        if union_d.size > k_eff:
-                            top = np.argpartition(union_d, k_eff - 1)[
-                                :k_eff
-                            ]
-                            boundary = union_d[top].max()
-                            if int((union_d == boundary).sum()) == 1:
-                                n_inc = len(heap)
-                                heap = heaps[qi] = [
-                                    heap[t]
-                                    if t < n_inc
-                                    else (
-                                        -float(seg_d[t - n_inc]),
-                                        int(seg_r[t - n_inc]),
-                                    )
-                                    for t in top.tolist()
-                                ]
-                                heap_dist[qi] = union_d[top]
-                                heap_lazy[qi] = 1
-                                kth[qi] = boundary
-                                continue
-                    if heap_lazy[qi]:
-                        heapq.heapify(heap)
-                        heap_lazy[qi] = 0
-                    heap_dist[qi] = None
-                    for dist, rid in zip(
-                        seg_d.tolist(), seg_r.tolist()
-                    ):
-                        if len(heap) < k_eff:
-                            heapq.heappush(heap, (-dist, rid))
-                        elif dist < -heap[0][0]:
-                            heapq.heapreplace(heap, (-dist, rid))
-                    kth[qi] = (
-                        -heap[0][0] if len(heap) == k_eff else np.inf
+                    sink.read_range(
+                        page_of_entry.item(a), page_of_entry.item(b - 1)
                     )
+                    sink.count_scan(b - a, width)
+                    offer(qi, seg_d, seg_r)
 
-
-        def expand(act: np.ndarray) -> None:
+        def expand(act: List[int]) -> None:
             for partition in self.partitions:
                 if partition.size == 0:
                     continue
@@ -1053,11 +1021,10 @@ class ExtendedIDistance(VectorIndex):
                 ):
                     probe(partition, act)
 
-        while True:
-            act = np.flatnonzero(active)
-            if act.size == 0:
-                break
-            expansions[act] += 1
+        act = list(range(n_queries))
+        while act:
+            for qi in act:
+                expansions[qi] += 1
             if live:
                 # One span per radius expansion: its cost delta is exactly
                 # the pages/distances this ΔR step paid across partitions.
@@ -1065,33 +1032,32 @@ class ExtendedIDistance(VectorIndex):
                     "knn.expand_radius",
                     counters=self.counters,
                     radius=radius,
-                    expansion=int(expansions[0]),
+                    expansion=expansions[0],
                 ) as expand_span:
                     expand(act)
                     if tracer.enabled:
                         expand_span.set(
-                            heap_size=len(heaps[0]), kth_best=float(kth[0])
+                            heap_size=len(heaps[0]), kth_best=kth[0]
                         )
             else:
                 with tracer.span(
                     "knn.batch.expand_radius",
                     radius=radius,
-                    active_queries=int(act.size),
+                    active_queries=len(act),
                 ):
                     expand(act)
-            done = (np.isfinite(kth[act]) & (kth[act] <= radius)) | (
-                radius > max_needed[act]
-            )
-            active[act[done]] = False
+            act = [
+                qi
+                for qi in act
+                if kth[qi] > radius and radius <= max_needed[qi]
+            ]
             radius += self.radius_step
         if tracer.enabled:
-            tracer.counter("knn.radius_expansions").inc(
-                int(expansions.sum())
-            )
+            tracer.counter("knn.radius_expansions").inc(sum(expansions))
             per_query = tracer.histogram(
                 "knn.expansions_per_query", buckets=tuple(range(1, 65))
             )
-            for count in expansions.tolist():
+            for count in expansions:
                 per_query.observe(count)
 
         ids = np.empty((n_queries, k_eff), dtype=np.int64)
