@@ -9,7 +9,7 @@ perturbation so a query is not trivially its own nearest neighbor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -34,22 +34,6 @@ class QueryWorkload:
     @property
     def n_queries(self) -> int:
         return self.queries.shape[0]
-
-    def chunks(self, n: int) -> List["QueryWorkload"]:
-        """Split into ``n`` contiguous sub-workloads, in workload order.
-
-        Contiguity matters for determinism: the parallel runner reassembles
-        worker results chunk by chunk, so results and merged statistics come
-        back in the original query order regardless of worker scheduling.
-        Chunks may be empty when ``n`` exceeds the query count (np.array_split
-        semantics), which keeps worker assignment trivially stable.
-        """
-        if n < 1:
-            raise ValueError(f"chunk count must be >= 1, got {n}")
-        return [
-            QueryWorkload(queries=part, k=self.k)
-            for part in np.array_split(self.queries, n)
-        ]
 
 
 def sample_queries(

@@ -23,9 +23,8 @@ whole-query granularity:
 
 Instrumented call sites default to :data:`NULL_TRACER`, a shared no-op, so
 runs without a tracer pay only attribute lookups and stay bit-identical.
-Multi-worker runs stitch into one trace: :class:`TraceContext` propagates
-the trace identity into workers and :meth:`Tracer.adopt_spans` grafts
-their spans back under the parent span.
+Served queries stitch into one trace: the router grafts each shard's
+spans under its own with :meth:`Tracer.adopt_spans`.
 """
 
 from .explain import QueryExplain, explain_from_records, explain_from_tracer
@@ -42,7 +41,6 @@ from .tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
-    TraceContext,
     Tracer,
     ensure_tracer,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "NullTracer",
     "QueryExplain",
     "Span",
-    "TraceContext",
     "Tracer",
     "ensure_tracer",
     "drift_scores",

@@ -189,8 +189,8 @@ class MetricsRegistry:
         """Fold flattened instrument records (one worker's
         :meth:`as_records` output) into this registry.
 
-        Counters add, gauges last-write-win (callers merge workers in
-        chunk order, keeping the outcome deterministic), histograms merge
+        Counters add, gauges last-write-win (callers merge shards in a
+        fixed order, keeping the outcome deterministic), histograms merge
         bucket-by-bucket.  A histogram whose bucket grid differs from the
         local instrument's cannot be merged losslessly and raises.
         """

@@ -159,7 +159,6 @@ class TestViews:
             advisory={
                 "qps_sequential": 1.0,
                 "qps_batch": 3.0,
-                "qps_parallel": 2.0,
                 "speedup_batch": 3.0,
                 "update_s": 0.1,
                 "update_ops_per_s": 2000.0,

@@ -1,4 +1,5 @@
-"""Tracer behavior: span nesting, ordering, cost deltas, null tracer."""
+"""Tracer behavior: span nesting, ordering, cost deltas, span adoption,
+null tracer."""
 
 import pytest
 
@@ -124,6 +125,46 @@ class TestCostDeltas:
         with t.span("uncounted"):
             pass
         assert t.spans[0].cost is None
+
+
+class TestAdoptSpans:
+    def test_rebases_reparents_and_stamps_roots(self):
+        worker = Tracer()
+        with worker.span("w.root"):
+            with worker.span("w.child"):
+                pass
+        with worker.span("w.root2", worker="kept"):
+            pass
+        parent = Tracer()
+        with parent.span("p.before"):
+            pass
+        with parent.span("p.scatter") as scatter:
+            with parent.span("p.inner"):
+                pass
+        assert parent.adopt_spans(worker.spans, parent=scatter, worker=3) == 3
+        spans = parent.spans
+        assert [s.name for s in spans] == [
+            "p.before", "p.scatter", "p.inner",
+            "w.root", "w.child", "w.root2",
+        ]
+        assert [s.index for s in spans] == list(range(6))
+        root, child, root2 = spans[3:]
+        assert (root.parent, root.depth) == (scatter.index, 1)
+        assert (child.parent, child.depth) == (root.index, 2)
+        assert (root2.parent, root2.depth) == (scatter.index, 1)
+        assert root.attributes["worker"] == 3
+        assert "worker" not in child.attributes
+        assert root2.attributes["worker"] == "kept"  # never overwritten
+        # Without a parent, roots stay roots at their own depth.
+        top = Tracer()
+        with top.span("w.only"):
+            pass
+        assert parent.adopt_spans(top.spans) == 1
+        assert (spans[6].index, spans[6].parent, spans[6].depth) == (6, -1, 0)
+        assert "worker" not in spans[6].attributes
+        assert parent.adopt_spans([], parent=scatter) == 0
+        assert NULL_TRACER.adopt_spans(worker.spans, parent=scatter) == 0
+        assert len(parent.spans) == 7
 
 
 class TestNullTracer:

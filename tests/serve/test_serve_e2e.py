@@ -7,13 +7,16 @@ request ordinal in a known process, so every test asserts the *specific*
 rung it provoked via the ``serve.*`` metrics, not just "it survived".
 """
 
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.index import INDEX_SCHEMES
 from repro.index.base import InvalidQueryError
+from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.tracer import Tracer
 from repro.serve import (
     NoShardsAvailableError,
@@ -364,22 +367,50 @@ def test_check_health_reports_and_heals(serve_cluster, serve_queries):
     assert not router.knn(serve_queries, 5).partial
 
 
+@pytest.mark.obs_smoke
 def test_trace_stitching_across_workers(serve_cluster, serve_queries):
     router = serve_cluster(n_shards=2)
     tracer = Tracer()
     result = router.knn(serve_queries, 5, tracer=tracer)
     assert not result.partial
-    scatter = [s for s in tracer.spans if s.name == "serve.scatter"]
+    # One event log: indices are positions, and every parent link
+    # resolves to an earlier span exactly one level up.
+    spans = tracer.spans
+    assert [s.index for s in spans] == list(range(len(spans)))
+    for span in spans:
+        if span.parent != -1:
+            parent = spans[span.parent]
+            assert parent.index < span.index
+            assert span.depth == parent.depth + 1
+    scatter = [s for s in spans if s.name == "serve.scatter"]
     assert len(scatter) == 1
     adopted = [
         s
-        for s in tracer.spans
+        for s in spans
         if s.parent == scatter[0].index
         and s.attributes.get("worker") is not None
     ]
     assert sorted(s.attributes["worker"] for s in adopted) == [0, 1]
-    # Worker-side batch spans arrived under the scatter span.
-    assert sum(1 for s in tracer.spans if s.name == "knn.batch") == 2
+    # Worker-side batch spans arrived under the scatter span, each with
+    # its cost delta intact.
+    batches = [s for s in spans if s.name == "knn.batch"]
+    assert len(batches) == 2
+    assert all(s.cost is not None for s in batches)
     # Worker metrics merged into the parent registry.
     names = {r["name"] for r in tracer.metrics.as_records()}
     assert "knn.batch_qps" in names
+    # The stitched file stands alone as one trace.
+    out_dir = Path("benchmarks") / "out" / "obs"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"stitched_{os.getpid()}.jsonl"
+    try:
+        assert write_jsonl(path, tracer) > 0
+        records = read_jsonl(path)
+    finally:
+        path.unlink(missing_ok=True)
+    assert records["other"] == [{"type": "trace", "id": tracer.trace_id}]
+    assert [
+        (r["name"], r["index"], r["parent"], r["depth"])
+        for r in records["spans"]
+    ] == [(s.name, s.index, s.parent, s.depth) for s in spans]
+    assert records["metrics"] == tracer.metrics.as_records()
