@@ -18,20 +18,12 @@ metric sections have different contracts:
   tombstone/delta fractions, WAL backlog) with ok/warn status.  Purely
   advisory and **optional**: absent in pre-PR-6 baselines, ignored by the
   comparator, never gating.
-* ``recall_curve`` — the approximate leg's measured recall@k per
-  ``rerank_depth`` (depth string -> recall).  Advisory and **optional**
-  like ``health``: omitted when empty, so exact-mode reports — including
-  every pre-approx golden baseline — remain byte-stable, and the
-  comparator never reads it.  The *gating* recall number is the
-  ``recall_at_k`` counter (tolerance-banded, see
-  :mod:`repro.bench.compare`).
-
 ``schema_version`` is checked on load: a report written by a different
 schema is rejected with :class:`BenchReportError` rather than being
 reinterpreted silently.
 
 The top-level ``BENCH_<kind>.json`` files (throughput, recovery, serve,
-ingest, encode) are kept as flat *views* of a report
+ingest) are kept as flat *views* of a report
 (:func:`flat_view`), so their consumers and their committed history
 survive the reporter swap; :func:`validate_view` checks a view file
 against the expected key set.
@@ -53,7 +45,6 @@ __all__ = [
     "RECOVERY_VIEW_KEYS",
     "SERVE_VIEW_KEYS",
     "INGEST_VIEW_KEYS",
-    "ENCODE_VIEW_KEYS",
     "flat_view",
     "validate_view",
 ]
@@ -77,22 +68,16 @@ class BenchReport:
     #: Advisory health section (HealthReport.as_dict()); {} when the run
     #: recorded none.  Optional in files for pre-PR-6 baseline compat.
     health: dict = field(default_factory=dict)
-    #: Advisory recall@k per rerank depth (approx legs only); {} on
-    #: exact runs.  Optional in files so pre-approx baselines stay
-    #: byte-stable.
-    recall_curve: Dict[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        # Empty optional sections are omitted, keeping reports from runs
-        # that record none identical to older files (health: pre-PR-6;
-        # recall_curve: every exact-mode run).
-        for optional in ("health", "recall_curve"):
-            if not data[optional]:
-                data.pop(optional)
+        # An empty health section is omitted, so reports from runs that
+        # record none match files written before the section existed.
+        if not data["health"]:
+            data.pop("health")
         # schema_version leads in the file for human readers.
         return {
             "schema_version": data.pop("schema_version"),
@@ -133,7 +118,7 @@ class BenchReport:
         missing = sorted(set(required) - set(data))
         if missing:
             raise BenchReportError(f"report missing fields: {missing}")
-        optional = {"health": dict, "recall_curve": dict}
+        optional = {"health": dict}
         unknown = sorted(
             set(data) - set(required) - set(optional) - {"schema_version"}
         )
@@ -153,7 +138,6 @@ class BenchReport:
                 )
         _check_metric_dict("counters", data["counters"])
         _check_metric_dict("advisory", data["advisory"])
-        _check_metric_dict("recall_curve", data.get("recall_curve", {}))
         for mode, fp in data["fingerprints"].items():
             if not isinstance(fp, str):
                 raise BenchReportError(
@@ -167,7 +151,6 @@ class BenchReport:
             advisory=dict(data["advisory"]),
             fingerprints=dict(data["fingerprints"]),
             health=dict(data.get("health", {})),
-            recall_curve=dict(data.get("recall_curve", {})),
             schema_version=version,
         )
 
@@ -253,23 +236,11 @@ INGEST_VIEW_KEYS = (
     "reorg_s",
 )
 
-#: BENCH_encode.json keys (recall + logical scan/rerank costs + rates).
-ENCODE_VIEW_KEYS = (
-    "recall_at_k",
-    "encode_code_pages",
-    "approx_page_reads_cold",
-    "approx_distance_computations",
-    "qps_sequential",
-    "qps_approx",
-    "speedup_approx",
-)
-
 _VIEW_KEYS = {
     "throughput": THROUGHPUT_VIEW_KEYS,
     "recovery": RECOVERY_VIEW_KEYS,
     "serve": SERVE_VIEW_KEYS,
     "ingest": INGEST_VIEW_KEYS,
-    "encode": ENCODE_VIEW_KEYS,
 }
 
 
@@ -297,8 +268,8 @@ def flat_view(kind: str, report: BenchReport) -> dict:
 
 def validate_view(kind: str, data: object) -> None:
     """Check a flat view dict (``kind`` is a :func:`flat_view` kind:
-    ``"throughput"``, ``"recovery"``, ``"serve"``, ``"ingest"`` or
-    ``"encode"``) for exactly the expected numeric keys."""
+    ``"throughput"``, ``"recovery"``, ``"serve"`` or ``"ingest"``) for
+    exactly the expected numeric keys."""
     keys = _view_keys(kind)
     if not isinstance(data, dict):
         raise BenchReportError(

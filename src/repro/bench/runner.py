@@ -15,12 +15,6 @@ One :func:`run_bench` call proves two things about a
    plus the fault and recovery machinery, and wall-clock observations are
    kept strictly advisory.
 
-``mode="approx"`` specs add a fifth way: the PQ-encoded scan-then-rerank
-path, whose answers are gated on a measured ``recall_at_k`` band against
-the exact fingerprinted reference instead of fingerprint identity
-(approximate ADC floats need not round bit-identically across BLAS
-builds and platforms), with a per-depth ``recall_curve`` kept advisory.
-
 The produced :class:`~repro.bench.report.BenchReport` is what the
 regression gate compares against committed baselines.
 """
@@ -63,21 +57,14 @@ class FingerprintMismatch(AssertionError):
 def _run_sequential(
     index: VectorIndex,
     workload: QueryWorkload,
-    mode: str = "exact",
-    rerank_depth: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
     """The reference execution: cold-cache per-query loop."""
-    knn_kwargs = (
-        {}
-        if mode == "exact"
-        else {"mode": mode, "rerank_depth": rerank_depth}
-    )
     id_rows: List[np.ndarray] = []
     dist_rows: List[np.ndarray] = []
     stats: List[QueryStats] = []
     for query in workload.queries:
         index.reset_cache()
-        res = index.knn(query, workload.k, **knn_kwargs)
+        res = index.knn(query, workload.k)
         id_rows.append(res.ids)
         dist_rows.append(res.distances)
         stats.append(res.stats)
@@ -89,26 +76,6 @@ def _require_match(name: str, got: str, want: str, context: str) -> None:
         raise FingerprintMismatch(
             f"{context}: {name} fingerprint {got} != reference {want}"
         )
-
-
-def _recall_at_k(reference_ids: np.ndarray, got_ids: np.ndarray) -> float:
-    """Mean per-query recall of ``got_ids`` against the exact answers.
-
-    Computed over id *sets* (order- and distance-free): ties at the k
-    boundary may legally reorder without a recall penalty.  Rounded like
-    the other float counters so the emitted value is byte-stable.
-    """
-    total = 0.0
-    n_rows = reference_ids.shape[0]
-    for ref_row, got_row in zip(reference_ids, got_ids):
-        reference = ref_row[ref_row >= 0]
-        if reference.size == 0:
-            total += 1.0
-            continue
-        total += (
-            np.intersect1d(reference, got_row).size / reference.size
-        )
-    return round(total / max(1, n_rows), 6)
 
 
 def run_bench(
@@ -187,61 +154,6 @@ def run_bench(
     counters["buffer_hit_rate_warm"] = (
         round(warm_hits / warm_total, 6) if warm_total else 0.0
     )
-
-    # Approx leg — attach the PQ encoder, then measure recall@k of the
-    # scan-then-rerank path against the exact fingerprinted answers.
-    # Approximate results may legally differ across BLAS builds and
-    # platforms (ADC floats need not round bit-identically), so no approx
-    # fingerprint is emitted: the gate is the banded recall_at_k counter,
-    # and the approx-batch agreement below is asserted at runtime only.
-    recall_curve: dict = {}
-    if spec.mode == "approx":
-        with tracer.span(
-            "bench.encode", counters=index.counters, spec=spec.name
-        ):
-            index.attach_encoder(
-                spec.build_encoder_config(),
-                seed=spec.encode_seed,
-                tracer=tracer,
-            )
-        with tracer.span(
-            "bench.approx", counters=index.counters, spec=spec.name
-        ):
-            start = time.perf_counter()
-            apx_ids, apx_dists, apx_stats = _run_sequential(
-                index, workload, mode="approx"
-            )
-            wall_approx = time.perf_counter() - start
-        apx_batch = index.knn_batch(
-            workload.queries, workload.k, mode="approx"
-        )
-        _require_match(
-            "approx_batch",
-            result_fingerprint(apx_batch.ids, apx_batch.distances),
-            result_fingerprint(apx_ids, apx_dists),
-            spec.name,
-        )
-        counters.update(
-            recall_at_k=_recall_at_k(seq_ids, apx_ids),
-            approx_page_reads_cold=int(
-                sum(s.page_reads for s in apx_stats)
-            ),
-            approx_distance_computations=int(
-                sum(s.distance_computations for s in apx_stats)
-            ),
-            approx_cpu_work=int(sum(s.cpu_work for s in apx_stats)),
-            encode_code_pages=int(index.encoder.total_code_pages),
-        )
-        advisory.update(
-            wall_seconds_approx=wall_approx,
-            qps_approx=workload.n_queries / wall_approx,
-            speedup_approx=wall_sequential / wall_approx,
-        )
-        for depth in sorted({1, 2, spec.rerank_depth}):
-            depth_ids, _, _ = _run_sequential(
-                index, workload, mode="approx", rerank_depth=depth
-            )
-            recall_curve[str(depth)] = _recall_at_k(seq_ids, depth_ids)
 
     # Leg 3 — transient read faults: same answers, observable retries.
     plan = spec.build_fault_plan()
@@ -361,5 +273,4 @@ def run_bench(
         advisory=advisory,
         fingerprints=fingerprints,
         health=sampler.report().as_dict(),
-        recall_curve=recall_curve,
     )

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..data.synthetic import SyntheticSpec, generate_correlated_clusters
 from ..data.workload import QueryWorkload, sample_queries
-from ..encode import EncoderConfig
 from ..index import INDEX_SCHEMES
 from ..index.base import VectorIndex
 from ..linalg.kernels import normalize_rows
@@ -86,16 +85,6 @@ class WorkloadSpec:
     update_seed: int = 3
     update_beta: float = 0.25
 
-    # Approximate leg (DESIGN.md §16): mode="approx" attaches a PQ
-    # encoder after the exact legs and measures recall@k against the
-    # fingerprinted exact answers; the pq_*/rerank fields are the
-    # recall knob.  Exact specs never see these (see to_dict).
-    mode: str = "exact"
-    pq_subquantizers: int = 4
-    pq_codebook: int = 16
-    rerank_depth: int = 4
-    encode_seed: int = 11
-
     def __post_init__(self) -> None:
         if self.scheme not in INDEX_SCHEMES:
             raise ValueError(
@@ -115,48 +104,10 @@ class WorkloadSpec:
             raise ValueError(
                 f"store must be 'memory' or 'mmap', got {self.store!r}"
             )
-        if self.mode not in ("exact", "approx"):
-            raise ValueError(
-                f"mode must be 'exact' or 'approx', got {self.mode!r}"
-            )
-        if self.pq_subquantizers < 1:
-            raise ValueError(
-                f"pq_subquantizers must be >= 1, "
-                f"got {self.pq_subquantizers}"
-            )
-        if not 1 <= self.pq_codebook <= 256:
-            raise ValueError(
-                f"pq_codebook must be in [1, 256], got {self.pq_codebook}"
-            )
-        if self.rerank_depth < 1:
-            raise ValueError(
-                f"rerank_depth must be >= 1, got {self.rerank_depth}"
-            )
-
     # -- serialization -------------------------------------------------
 
-    #: Fields added by the approximate tier.  They are elided from
-    #: to_dict at their default values so the spec dicts embedded in
-    #: pre-approx golden baselines stay byte-identical (the comparator
-    #: gates on spec inequality); from_dict fills the defaults back in,
-    #: so elided dicts round-trip to the same spec.
-    _APPROX_FIELDS = (
-        "mode",
-        "pq_subquantizers",
-        "pq_codebook",
-        "rerank_depth",
-        "encode_seed",
-    )
-
     def to_dict(self) -> dict:
-        data = asdict(self)
-        for field in fields(self):
-            if (
-                field.name in self._APPROX_FIELDS
-                and data[field.name] == field.default
-            ):
-                del data[field.name]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
@@ -217,13 +168,6 @@ class WorkloadSpec:
             np.random.default_rng(self.query_seed),
             k=self.k,
             method=self.query_method,
-        )
-
-    def build_encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            n_subquantizers=self.pq_subquantizers,
-            codebook_size=self.pq_codebook,
-            rerank_depth=self.rerank_depth,
         )
 
     def build_fault_plan(self) -> FaultPlan:

@@ -88,37 +88,4 @@ DEFAULT_SPECS = _registry(
         n_inserts=6,
         n_deletes=4,
     ),
-    # Approximate tier on the contribution path: per-subspace PQ codes
-    # scanned for candidates, exact rerank through iDistance's locate
-    # path.  Gated on the recall_at_k band, not fingerprints.
-    WorkloadSpec(
-        name="idistance_pq_smoke",
-        scheme="iMMDR",
-        reducer="mmdr",
-        mode="approx",
-        n_points=2000,
-        dimensionality=16,
-        n_clusters=2,
-        retained_dims=4,
-        n_queries=24,
-        k=10,
-        n_inserts=10,
-        n_deletes=6,
-    ),
-    # Approximate tier over the gLDR baseline: rerank I/O charged to
-    # the Hybrid-tree leaves that own each candidate row.
-    WorkloadSpec(
-        name="gldr_pq_smoke",
-        scheme="gLDR",
-        reducer="ldr",
-        mode="approx",
-        n_points=1500,
-        dimensionality=16,
-        n_clusters=2,
-        retained_dims=4,
-        n_queries=16,
-        k=10,
-        n_inserts=6,
-        n_deletes=4,
-    ),
 )

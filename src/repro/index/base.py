@@ -199,8 +199,6 @@ class VectorIndex(ABC):
         query: np.ndarray,
         k: int,
         tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> KNNResult:
         """The K nearest neighbors of ``query`` under the index's scoring.
 
@@ -208,12 +206,6 @@ class VectorIndex(ABC):
         per-span cost deltas) for this query; the default is a shared
         no-op tracer, under which the query's counters and results are
         bit-identical to an uninstrumented run.
-
-        ``mode="approx"`` routes through the attached encoder (see
-        :meth:`attach_encoder`): ADC-scan the PQ codes for a candidate
-        set of ``rerank_depth * k`` rids, then rerank exactly.
-        ``rerank_depth`` overrides the encoder's default scan depth and
-        is only meaningful in approximate mode.
         """
         raise NotImplementedError
 
@@ -227,8 +219,6 @@ class VectorIndex(ABC):
         k: int,
         tracer: Optional[Tracer] = None,
         cold_cache: bool = True,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> BatchKNNResult:
         """Answer every query in ``(Q, d)`` ``queries``.
 
@@ -250,12 +240,6 @@ class VectorIndex(ABC):
         :attr:`BatchKNNResult.invalid_queries`) rather than aborting the
         workload; a dimensionality mismatch is structural to the whole
         matrix and raises :class:`InvalidQueryError` outright.
-
-        ``mode="approx"`` answers every row through the attached
-        encoder's scan-then-rerank path (see :meth:`attach_encoder`) via
-        the per-query loop — the shared scan does not apply — under the
-        same cold-cache protocol, so batch answers remain bit-identical to
-        a per-query approx loop.
         """
         queries = np.ascontiguousarray(
             np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -266,10 +250,6 @@ class VectorIndex(ABC):
             )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if mode not in ("exact", "approx"):
-            raise ValueError(
-                f"unknown search mode {mode!r}; expected 'exact' or 'approx'"
-            )
         expected = self.query_dim
         if expected is not None and queries.shape[1] != expected:
             raise InvalidQueryError(
@@ -294,8 +274,7 @@ class VectorIndex(ABC):
             invalid_queries=int(invalid_rows.size),
         ):
             ids, distances, stats, wall = self._dispatch_batch(
-                valid_queries, k, tracer, cold_cache, start,
-                mode=mode, rerank_depth=rerank_depth,
+                valid_queries, k, tracer, cold_cache, start
             )
         if invalid_rows.size:
             if tracer.enabled:
@@ -333,12 +312,10 @@ class VectorIndex(ABC):
         tracer: Tracer,
         cold_cache: bool,
         start: float,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats], float]:
         """Route pre-validated queries to the fast path or the loop."""
         has_fast_path = type(self)._knn_batch is not VectorIndex._knn_batch
-        if has_fast_path and cold_cache and mode == "exact":
+        if has_fast_path and cold_cache:
             if self.metric == "cosine":
                 # Only this path normalizes here: the loop's knn normalizes
                 # each row itself, and normalizing twice can move bits.
@@ -357,8 +334,7 @@ class VectorIndex(ABC):
                     flight.record(self.name, "knn_batch", s, k=k)
         else:
             ids, distances, stats = self._knn_batch_loop(
-                queries, k, tracer, cold_cache,
-                mode=mode, rerank_depth=rerank_depth,
+                queries, k, tracer, cold_cache
             )
             wall = time.perf_counter() - start
         return ids, distances, stats, wall
@@ -385,25 +361,15 @@ class VectorIndex(ABC):
         k: int,
         tracer: Tracer,
         cold_cache: bool,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
         """Reference batch execution: a per-query :meth:`knn` loop."""
-        # Mode kwargs are forwarded only off the exact path so vanilla
-        # subclasses (and test doubles) with the historical ``knn``
-        # signature keep working untouched.
-        knn_kwargs = (
-            {}
-            if mode == "exact"
-            else {"mode": mode, "rerank_depth": rerank_depth}
-        )
         id_rows: List[np.ndarray] = []
         dist_rows: List[np.ndarray] = []
         stats: List[QueryStats] = []
         for query in queries:
             if cold_cache:
                 self.reset_cache()
-            result = self.knn(query, k, tracer=tracer, **knn_kwargs)
+            result = self.knn(query, k, tracer=tracer)
             id_rows.append(result.ids)
             dist_rows.append(result.distances)
             stats.append(result.stats)
@@ -418,81 +384,6 @@ class VectorIndex(ABC):
     def reset_cache(self) -> None:
         """Drop the buffer pool contents (cold-cache measurement)."""
         self.pool.clear()
-
-    # ------------------------------------------------------------------
-    # approximate tier (DESIGN.md §16)
-    # ------------------------------------------------------------------
-
-    def attach_encoder(
-        self,
-        config=None,
-        seed: int = 0,
-        tracer: Optional[Tracer] = None,
-    ):
-        """Train and attach a PQ code layer for ``mode="approx"`` queries.
-
-        One seeded codebook per bulk partition (reduced subspace /
-        outlier set), code pages allocated on this index's store, and
-        the layer pickles along with the index through snapshots.  Exact
-        search never reads code pages, so attaching cannot move an
-        exact-mode counter or fingerprint.  Returns the attached
-        :class:`~repro.encode.ApproxLayer`.
-        """
-        from ..encode import build_encoder
-
-        self.encoder = build_encoder(
-            self, config=config, seed=seed, tracer=tracer
-        )
-        return self.encoder
-
-    def _approx_knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
-        mode: str = "approx",
-        rerank_depth: Optional[int] = None,
-    ) -> KNNResult:
-        """Shared ``mode="approx"`` entry point behind every scheme's
-        :meth:`knn`: validate, then run the attached encoder's
-        scan-then-rerank search under the standard ``knn.query``
-        measurement envelope (same spans, flight records, and
-        :class:`QueryStats` protocol as exact search)."""
-        if mode != "approx":
-            raise ValueError(
-                f"unknown search mode {mode!r}; expected 'exact' or 'approx'"
-            )
-        layer = getattr(self, "encoder", None)
-        if layer is None:
-            raise RuntimeError(
-                "no encoder attached: call attach_encoder() before "
-                "mode='approx' queries"
-            )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        query = self._check_query(query)
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            layer.search,
-            self,
-            query,
-            k,
-            rerank_depth,
-            tracer,
-            tracer=tracer,
-            k=k,
-        )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
-
-    def _approx_rerank_pages(self, rids: np.ndarray) -> np.ndarray:
-        """Data page id holding each bulk rid's frame vector, for the
-        approximate tier's exact rerank to charge its reads through the
-        same accounting as exact search.  Schemes override with their
-        build layout (iDistance routes through ``locate``)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not map rids to data pages; "
-            "approximate rerank is unavailable"
-        )
 
     # ------------------------------------------------------------------
     # robustness
@@ -804,16 +695,12 @@ class VectorIndex(ABC):
         self,
         query: np.ndarray,
         k: int,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> "QueryExplain":  # noqa: F821 - imported lazily below
         """Run one cold-cache query under a private tracer and return its
         :class:`~repro.obs.explain.QueryExplain` — the EXPLAIN ANALYZE
         view of where that query's pages, distance evaluations, and key
         comparisons went, phase by phase and (for iDistance) partition by
-        partition.  ``mode="approx"`` explains the encoder path instead;
-        its ``knn.approx.scan`` / ``knn.approx.rerank`` phases attribute
-        code-scan vs rerank cost.
+        partition.
 
         The query executes for real: the index's counters advance exactly
         as a normal :meth:`knn` call would, and the explain totals equal
@@ -821,14 +708,9 @@ class VectorIndex(ABC):
         """
         from ..obs.explain import explain_from_tracer
 
-        knn_kwargs = (
-            {}
-            if mode == "exact"
-            else {"mode": mode, "rerank_depth": rerank_depth}
-        )
         tracer = Tracer(counters=self.counters)
         self.reset_cache()
-        result = self.knn(query, k, tracer=tracer, **knn_kwargs)
+        result = self.knn(query, k, tracer=tracer)
         return explain_from_tracer(
             tracer,
             k=k,

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
-from ..storage.pager import pages_for_vectors, rows_per_page
+from ..storage.pager import pages_for_vectors
 from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
 from .dynamic import DeltaStore, route_point
 from .hybrid_tree import HybridTree, offer_block
@@ -58,38 +58,11 @@ class GlobalLDRIndex(VectorIndex):
         self.outlier_pages = pages_for_vectors(
             reduced.outliers.size, reduced.dimensionality
         )
-        self._outlier_page_ids = [
+        for _ in range(self.outlier_pages):
             self.store.allocate(("gldr-outliers",), 0)
-            for _ in range(self.outlier_pages)
-        ]
         self.delta = DeltaStore("gldr")
         self.n_inserted = 0
         self._tombstones: set = set()
-
-    def _approx_rerank_pages(self, rids: np.ndarray) -> np.ndarray:
-        """Data page per bulk rid: the Hybrid-tree leaf that owns the
-        row (derived once per index via the accounting-free
-        ``leaf_of_rows`` walk), or the outlier page holding the packed
-        full-``d`` vector."""
-        page_of_rid = getattr(self, "_rerank_page_of_rid", None)
-        if page_of_rid is None:
-            page_of_rid = np.full(
-                self.reduced.n_points, -1, dtype=np.int64
-            )
-            for tree in self.trees:
-                page_of_rid[tree.rids] = tree.leaf_of_rows()
-            outliers = self.reduced.outliers
-            if outliers.size:
-                per_page = rows_per_page(self.reduced.dimensionality)
-                pages = np.asarray(
-                    self._outlier_page_ids, dtype=np.int64
-                )
-                rows = np.arange(outliers.size, dtype=np.int64)
-                page_of_rid[outliers.member_ids] = pages[
-                    np.minimum(rows // per_page, pages.size - 1)
-                ]
-            self._rerank_page_of_rid = page_of_rid
-        return page_of_rid[np.asarray(rids, dtype=np.int64)]
 
     # ------------------------------------------------------------------
     # online mutation
@@ -160,14 +133,7 @@ class GlobalLDRIndex(VectorIndex):
         query: np.ndarray,
         k: int,
         tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> KNNResult:
-        if mode != "exact":
-            return self._approx_knn(
-                query, k, tracer=tracer, mode=mode,
-                rerank_depth=rerank_depth,
-            )
         query = self._check_query(query)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")

@@ -205,27 +205,6 @@ class HybridTree:
         )
         return self.store.allocate(node, min(size, PAGE_SIZE))
 
-    def leaf_of_rows(self) -> np.ndarray:
-        """Leaf page id per vector row, by walking the built tree.
-
-        Uses ``raw_fetch`` (a build-time internal: no pool traffic, no
-        counters, no injected faults) so callers can derive the physical
-        layout — e.g. the approximate tier's rerank I/O charging —
-        without perturbing measured state.  Overflow pages of oversized
-        duplicate leaves are not represented: every row maps to the leaf
-        page that owns its entry.
-        """
-        out = np.full(self.vectors.shape[0], -1, dtype=np.int64)
-        stack = [self.root_page]
-        while stack:
-            page_id = stack.pop()
-            node = self.store.raw_fetch(page_id).payload
-            if getattr(node, "is_leaf", False):
-                out[node.rows] = page_id
-            elif isinstance(node, _Internal):
-                stack.extend(node.child_pages)
-        return out
-
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------

@@ -573,21 +573,6 @@ class ExtendedIDistance(VectorIndex):
             raise KeyError(f"rid {rid} is not in the index")
         return location
 
-    def _approx_rerank_pages(self, rids: np.ndarray) -> np.ndarray:
-        """Data page per bulk rid, through the :meth:`locate` rid map:
-        the bulk location gives the partition's key-ordered position,
-        whose page the bulk load recorded in ``page_of_entry``.  Only
-        coded (bulk, live) rids reach rerank — delta entries are scored
-        exactly during the scan phase and never rerank."""
-        locations = self._rid_location[np.asarray(rids, dtype=np.int64)]
-        pages = np.empty(locations.shape[0], dtype=np.int64)
-        for pidx in np.unique(locations[:, 0]).tolist():
-            mask = locations[:, 0] == pidx
-            pages[mask] = self.partitions[pidx].page_of_entry[
-                locations[mask, 1]
-            ]
-        return pages
-
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
@@ -597,14 +582,7 @@ class ExtendedIDistance(VectorIndex):
         query: np.ndarray,
         k: int,
         tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> KNNResult:
-        if mode != "exact":
-            return self._approx_knn(
-                query, k, tracer=tracer, mode=mode,
-                rerank_depth=rerank_depth,
-            )
         query = self._check_query(query)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")

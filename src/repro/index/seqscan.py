@@ -22,7 +22,7 @@ import numpy as np
 
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
-from ..storage.pager import pages_for_vectors, rows_per_page
+from ..storage.pager import pages_for_vectors
 from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
 from .dynamic import DeltaStore, route_point
 
@@ -49,46 +49,21 @@ class SequentialScan(VectorIndex):
         ) + pages_for_vectors(
             reduced.outliers.size, reduced.dimensionality
         )
-        # Materialize the page map so the store reflects reality, and
-        # remember which page holds each rid's vector so the approximate
-        # tier's exact rerank charges the same layout a scan reads.
-        self._page_of_rid = np.full(reduced.n_points, -1, dtype=np.int64)
+        # Materialize the page map so the store reflects reality.
         for subspace in reduced.subspaces:
-            pages = [
+            for _ in range(
+                pages_for_vectors(subspace.size, subspace.reduced_dim)
+            ):
                 self.store.allocate(
                     ("seqscan-data", subspace.subspace_id), 0
                 )
-                for _ in range(
-                    pages_for_vectors(subspace.size, subspace.reduced_dim)
-                )
-            ]
-            if pages:
-                per_page = rows_per_page(subspace.reduced_dim)
-                rows = np.arange(subspace.size, dtype=np.int64)
-                self._page_of_rid[subspace.member_ids] = np.asarray(
-                    pages, dtype=np.int64
-                )[np.minimum(rows // per_page, len(pages) - 1)]
-        outlier_pages = [
+        for _ in range(
+            pages_for_vectors(reduced.outliers.size, reduced.dimensionality)
+        ):
             self.store.allocate(("seqscan-outliers",), 0)
-            for _ in range(
-                pages_for_vectors(
-                    reduced.outliers.size, reduced.dimensionality
-                )
-            )
-        ]
-        if outlier_pages:
-            per_page = rows_per_page(reduced.dimensionality)
-            rows = np.arange(reduced.outliers.size, dtype=np.int64)
-            self._page_of_rid[reduced.outliers.member_ids] = np.asarray(
-                outlier_pages, dtype=np.int64
-            )[np.minimum(rows // per_page, len(outlier_pages) - 1)]
         self.delta = DeltaStore("seqscan")
         self.n_inserted = 0
         self._tombstones: set = set()
-
-    def _approx_rerank_pages(self, rids: np.ndarray) -> np.ndarray:
-        """Data page per bulk rid, from the layout recorded at build."""
-        return self._page_of_rid[np.asarray(rids, dtype=np.int64)]
 
     @property
     def total_scan_pages(self) -> int:
@@ -167,14 +142,7 @@ class SequentialScan(VectorIndex):
         query: np.ndarray,
         k: int,
         tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
     ) -> KNNResult:
-        if mode != "exact":
-            return self._approx_knn(
-                query, k, tracer=tracer, mode=mode,
-                rerank_depth=rerank_depth,
-            )
         query = self._check_query(query)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")

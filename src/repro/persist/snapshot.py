@@ -125,13 +125,6 @@ def save_index(
     }
     if generation is not None:
         manifest["generation"] = int(generation)
-    # An attached approximate-tier encoder rides inside the pickled
-    # state; the manifest carries a human-readable summary.  Absent
-    # when no encoder is attached, so encoder-less snapshots stay
-    # byte-identical to the pre-encoder format.
-    encoder = getattr(index, "encoder", None)
-    if encoder is not None:
-        manifest["encoder"] = encoder.describe()
     manifest["manifest_crc32"] = _crc32(
         _canonical_manifest_bytes(manifest)
     )

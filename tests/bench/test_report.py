@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import (
+    DEFAULT_SPECS,
     SCHEMA_VERSION,
     BenchReport,
     BenchReportError,
@@ -199,7 +200,6 @@ class TestViews:
             ("BENCH_recovery.json", "recovery"),
             ("BENCH_serve.json", "serve"),
             ("BENCH_ingest.json", "ingest"),
-            ("BENCH_encode.json", "encode"),
         ],
     )
     def test_committed_bench_outputs_parse_as_views(self, filename, kind):
@@ -224,3 +224,6 @@ class TestCommittedBaselines:
             assert report.name == path.stem
             assert report.fingerprints, f"{path} has no fingerprints"
             assert report.counters, f"{path} has no counters"
+            assert report.spec == DEFAULT_SPECS[report.name].to_dict(), (
+                f"{path} spec drifted from DEFAULT_SPECS[{report.name!r}]"
+            )
