@@ -3,7 +3,10 @@
 
 Run:
     python examples/ingest_demo.py [--points 500] [--dims 8] \
-                                   [--scheme iMMDR] [--root ingest_demo_run]
+                                   [--scheme iMMDR] [--root DIR]
+
+``--root`` must name a directory that holds no earlier run; by default
+the demo works in a fresh temporary directory and removes it at exit.
 
 The script bulk-builds generation 1 of an ingestion pipeline from a
 synthetic clustered dataset, then streams mutation batches whose inserts
@@ -23,6 +26,7 @@ the drill degrades to an in-process simulated crash.
 import argparse
 import os
 import signal
+import tempfile
 
 import numpy as np
 
@@ -143,17 +147,8 @@ def crash_drill(root, points, ops, reduce_fn, scheme, queries, k,
     return report.generation, fp
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=500)
-    parser.add_argument("--dims", type=int, default=8)
-    parser.add_argument("--inserts", type=int, default=60)
-    parser.add_argument("--scheme", default="iMMDR",
-                        choices=sorted(INDEX_SCHEMES))
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--root", default="ingest_demo_run")
-    args = parser.parse_args()
-
+def run_demo(args, root) -> None:
+    """Drift stream and crash drill, both under ``root``."""
     spec = SyntheticSpec(
         n_points=args.points,
         dimensionality=args.dims,
@@ -182,19 +177,36 @@ def main() -> None:
     )
 
     live_fp = run_stream(
-        os.path.join(args.root, "live"), points, ops, reduce_fn,
+        os.path.join(root, "live"), points, ops, reduce_fn,
         args.scheme, workload.queries, workload.k,
     )
     print(f"post-reorg answer fingerprint: {live_fp}")
 
     generation, fp = crash_drill(
-        os.path.join(args.root, "crashed"), points, ops, reduce_fn,
+        os.path.join(root, "crashed"), points, ops, reduce_fn,
         args.scheme, workload.queries, workload.k,
     )
     print(
         f"crash drill landed on generation {generation} with "
         f"fingerprint {fp} — exactly one generation, no hybrid"
     )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--points", type=int, default=500)
+    parser.add_argument("--dims", type=int, default=8)
+    parser.add_argument("--inserts", type=int, default=60)
+    parser.add_argument("--scheme", default="iMMDR",
+                        choices=sorted(INDEX_SCHEMES))
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--root", default=None)
+    args = parser.parse_args()
+    if args.root is None:
+        with tempfile.TemporaryDirectory(prefix="ingest_demo_") as root:
+            run_demo(args, root)
+    else:
+        run_demo(args, args.root)
 
 
 if __name__ == "__main__":

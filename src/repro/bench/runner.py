@@ -25,12 +25,9 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
-import numpy as np
-
-from ..data.workload import QueryWorkload
-from ..index.base import QueryStats, VectorIndex
+from ..eval.harness import run_workload
 from ..obs.health import HealthSampler
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, ensure_tracer
@@ -52,23 +49,6 @@ class FingerprintMismatch(AssertionError):
     contract, so a mismatch means a fast path, the fault retry path, or
     recovery broke — whatever the cost counters say.
     """
-
-
-def _run_sequential(
-    index: VectorIndex,
-    workload: QueryWorkload,
-) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-    """The reference execution: cold-cache per-query loop."""
-    id_rows: List[np.ndarray] = []
-    dist_rows: List[np.ndarray] = []
-    stats: List[QueryStats] = []
-    for query in workload.queries:
-        index.reset_cache()
-        res = index.knn(query, workload.k)
-        id_rows.append(res.ids)
-        dist_rows.append(res.distances)
-        stats.append(res.stats)
-    return np.vstack(id_rows), np.vstack(dist_rows), stats
 
 
 def _require_match(name: str, got: str, want: str, context: str) -> None:
@@ -110,7 +90,9 @@ def run_bench(
         "bench.sequential", counters=index.counters, spec=spec.name
     ):
         start = time.perf_counter()
-        seq_ids, seq_dists, stats = _run_sequential(index, workload)
+        seq_ids, seq_dists, stats = run_workload(
+            index, workload, use_batch=False
+        )
         wall_sequential = time.perf_counter() - start
     fingerprints["sequential"] = result_fingerprint(seq_ids, seq_dists)
     counters.update(
@@ -163,7 +145,9 @@ def run_bench(
         with tracer.span(
             "bench.faulted", counters=index.counters, spec=spec.name
         ):
-            fault_ids, fault_dists, _ = _run_sequential(index, workload)
+            fault_ids, fault_dists, _ = run_workload(
+                index, workload, use_batch=False
+            )
     finally:
         index.disable_faults()
     fingerprints["faulted"] = result_fingerprint(fault_ids, fault_dists)
@@ -218,14 +202,18 @@ def run_bench(
                     apply_op(index, op)
                 update_s = time.perf_counter() - start
             wal.flush()
-            upd_ids, upd_dists, _ = _run_sequential(index, workload)
+            upd_ids, upd_dists, _ = run_workload(
+                index, workload, use_batch=False
+            )
             fingerprints["updated"] = result_fingerprint(upd_ids, upd_dists)
 
             with tracer.span("bench.recover", spec=spec.name):
                 start = time.perf_counter()
                 recovered, rec_report = recover(wal_path)
                 recover_s = time.perf_counter() - start
-            rec_ids, rec_dists, _ = _run_sequential(recovered, workload)
+            rec_ids, rec_dists, _ = run_workload(
+                recovered, workload, use_batch=False
+            )
             fingerprints["recovered"] = result_fingerprint(
                 rec_ids, rec_dists
             )

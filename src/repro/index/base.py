@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -192,6 +192,12 @@ class VectorIndex(ABC):
         factory = store_factory if store_factory is not None else PageStore
         self.store = factory(self.counters)
         self.pool = BufferPool(self.store, pool_pages, self.counters)
+        # Online-mutation state (DESIGN.md §10): inserts so far, deleted
+        # rids, and per-subspace (count, ProjDist_r sum) of routed inserts.
+        self.n_inserted = 0
+        self._tombstones: set = set()
+        self._tomb_cache: Optional[np.ndarray] = None
+        self._insert_residuals: Dict[int, Tuple[int, float]] = {}
 
     @abstractmethod
     def knn(
@@ -218,7 +224,6 @@ class VectorIndex(ABC):
         queries: np.ndarray,
         k: int,
         tracer: Optional[Tracer] = None,
-        cold_cache: bool = True,
     ) -> BatchKNNResult:
         """Answer every query in ``(Q, d)`` ``queries``.
 
@@ -228,9 +233,7 @@ class VectorIndex(ABC):
         queries at once (iDistance's shared scan) overrides
         :meth:`_knn_batch` and runs the whole block through it, amortizing
         per-query Python and small-kernel overhead; every other index runs
-        the cold per-query loop.  ``cold_cache=False`` always runs the
-        loop (warm-cache accounting depends on the exact cross-query page
-        interleaving, which a shared scan would change).
+        the cold per-query loop.
 
         The whole call runs under one ``knn.batch`` span; a real ``tracer``
         also gets a ``knn.batch_qps`` gauge.  The index's own counters are
@@ -270,12 +273,10 @@ class VectorIndex(ABC):
             scheme=self.name,
             n_queries=queries.shape[0],
             k=k,
-            cold_cache=cold_cache,
             invalid_queries=int(invalid_rows.size),
         ):
-            ids, distances, stats, wall = self._dispatch_batch(
-                valid_queries, k, tracer, cold_cache, start
-            )
+            ids, distances, stats = self._knn_batch(valid_queries, k, tracer)
+        wall = time.perf_counter() - start
         if invalid_rows.size:
             if tracer.enabled:
                 tracer.counter("knn.invalid_queries").inc(
@@ -305,70 +306,21 @@ class VectorIndex(ABC):
             invalid_queries=tuple(invalid_rows.tolist()),
         )
 
-    def _dispatch_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        tracer: Tracer,
-        cold_cache: bool,
-        start: float,
-    ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats], float]:
-        """Route pre-validated queries to the fast path or the loop."""
-        has_fast_path = type(self)._knn_batch is not VectorIndex._knn_batch
-        if has_fast_path and cold_cache:
-            if self.metric == "cosine":
-                # Only this path normalizes here: the loop's knn normalizes
-                # each row itself, and normalizing twice can move bits.
-                queries = normalize_rows(queries)
-            with self.counters.cpu_timer():
-                ids, distances, stats = self._knn_batch(queries, k, tracer)
-            wall = time.perf_counter() - start
-            per_query = wall / max(1, queries.shape[0])
-            stats = [replace(s, cpu_seconds=per_query) for s in stats]
-            # The loop path records per query via _measured; the
-            # vectorized path records here so the flight recorder sees
-            # every query either way.
-            flight = getattr(self, "flight", None)
-            if flight is not None:
-                for s in stats:
-                    flight.record(self.name, "knn_batch", s, k=k)
-        else:
-            ids, distances, stats = self._knn_batch_loop(
-                queries, k, tracer, cold_cache
-            )
-            wall = time.perf_counter() - start
-        return ids, distances, stats, wall
-
     def _knn_batch(
         self,
         queries: np.ndarray,
         k: int,
         tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Whole-block search (cold-cache accounting); subclasses whose
-        search engine runs on a block of queries override.  Must return
-        ``(Q, k)`` ids/distances plus per-query stats whose
-        page/distance/key counts equal a cold per-query :meth:`knn`
-        loop bit-for-bit (``cpu_seconds`` may be 0 — the caller apportions
-        wall time).  The base implementation is never called (the caller
-        routes to :meth:`_knn_batch_loop` when this is not overridden).
-        """
-        raise NotImplementedError
-
-    def _knn_batch_loop(
-        self,
-        queries: np.ndarray,
-        k: int,
-        tracer: Tracer,
-        cold_cache: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Reference batch execution: a per-query :meth:`knn` loop."""
+        """Answer a block of validated queries: ``(Q, k)`` ids/distances
+        plus per-query stats.  This reference execution is the cold
+        per-query :meth:`knn` loop; an override must match its answers
+        and page/distance/key counts bit for bit."""
         id_rows: List[np.ndarray] = []
         dist_rows: List[np.ndarray] = []
         stats: List[QueryStats] = []
         for query in queries:
-            if cold_cache:
-                self.reset_cache()
+            self.reset_cache()
             result = self.knn(query, k, tracer=tracer)
             id_rows.append(result.ids)
             dist_rows.append(result.distances)
@@ -582,16 +534,34 @@ class VectorIndex(ABC):
             f"{type(self).__name__} does not support metadata recovery"
         )
 
+    def _holds(self, rid: int) -> bool:
+        """Whether ``rid`` names a stored entry, live or tombstoned
+        (bulk-loaded or inserted).  Schemes with online mutation
+        override this."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support online mutation"
+        )
+
+    def _check_new_rid(self, rid: int) -> int:
+        """The insert-side rid rule every scheme shares: a rid that is
+        live, or was deleted before the next rebuild, cannot be inserted
+        (``ValueError``).  Returns the rid as an int."""
+        rid = int(rid)
+        if rid in self._tombstones:
+            raise ValueError(
+                f"rid {rid} was deleted from this index; deleted ids "
+                "cannot be reused before a rebuild"
+            )
+        if self._holds(rid):
+            raise ValueError(f"rid {rid} is already live in this index")
+        return rid
+
     @property
     def live_count(self) -> int:
         """Visible points: bulk load plus online inserts minus deletes."""
         reduced = getattr(self, "reduced", None)
         bulk = int(reduced.n_points) if reduced is not None else 0
-        return (
-            bulk
-            + int(getattr(self, "n_inserted", 0))
-            - len(getattr(self, "_tombstones", ()))
-        )
+        return bulk + self.n_inserted - len(self._tombstones)
 
     def _tombstone_array(self) -> np.ndarray:
         """Sorted int64 array of deleted rids, for vectorized filtering.
@@ -599,10 +569,10 @@ class VectorIndex(ABC):
         Cached by size — tombstone sets only grow, so a size match means
         the cache is current.
         """
-        tombs = getattr(self, "_tombstones", None)
+        tombs = self._tombstones
         if not tombs:
             return np.empty(0, dtype=np.int64)
-        cache = getattr(self, "_tomb_cache", None)
+        cache = self._tomb_cache
         if cache is None or cache.size != len(tombs):
             cache = np.fromiter(
                 sorted(tombs), dtype=np.int64, count=len(tombs)
@@ -654,7 +624,6 @@ class VectorIndex(ABC):
         fn,
         *args,
         tracer: Tracer = NULL_TRACER,
-        k: Optional[int] = None,
         **kwargs,
     ):
         """Run ``fn`` under the CPU timer and return (result, QueryStats).
@@ -664,9 +633,7 @@ class VectorIndex(ABC):
         pool feeds ``buffer.hits``/``buffer.misses`` counters for the
         duration.  ``fn`` receives ``*args``/``kwargs`` untouched —
         callers that want per-phase spans pass the tracer along inside
-        ``args`` themselves.  An enabled flight recorder (see
-        :meth:`enable_flight_recorder`) gets the finished stats; ``k``
-        only labels that record.
+        ``args`` themselves.
         """
         before = self.counters.snapshot()
         previous_pool_tracer = self.pool.tracer
@@ -682,9 +649,6 @@ class VectorIndex(ABC):
         stats = QueryStats.from_snapshots(before, self.counters.snapshot())
         if tracer.enabled:
             tracer.gauge("buffer.hit_rate").set(self.pool.hit_rate)
-        flight = getattr(self, "flight", None)
-        if flight is not None:
-            flight.record(self.name, "knn", stats, k=k)
         return result, stats
 
     # ------------------------------------------------------------------
@@ -720,45 +684,19 @@ class VectorIndex(ABC):
 
     def _delta_rids(self):
         """Row ids currently living in delta structures (online inserts
-        not yet merged into the bulk-loaded index), scheme-agnostic:
-        iDistance tracks per-partition delta pages via ``_delta_location``;
-        SeqScan/gLDR keep a shared :class:`~repro.index.dynamic.DeltaStore`.
-        """
-        locations = getattr(self, "_delta_location", None)
-        if locations is not None:
-            return locations.keys()
-        delta = getattr(self, "delta", None)
-        if delta is not None:
-            return delta.rids
+        not yet merged into the bulk-loaded index); schemes with online
+        mutation override this."""
         return ()
-
-    def enable_flight_recorder(
-        self,
-        capacity: int = 256,
-        slow_threshold: Optional[int] = None,
-    ):
-        """Attach a :class:`~repro.obs.flight.FlightRecorder`: every
-        subsequent query leaves a bounded-memory cost record, with
-        ``slow_threshold`` (logical cost units — machine-independent)
-        classifying slow queries.  Returns the recorder; set
-        ``self.flight = None`` to detach."""
-        from ..obs.flight import FlightRecorder
-
-        self.flight = FlightRecorder(
-            capacity=capacity, slow_threshold=slow_threshold
-        )
-        return self.flight
 
     def _note_routed_insert(self, subspace_idx: int, residual: float) -> None:
         """Record one online insert's routing residual (its ``ProjDist_r``
         to the chosen subspace) for the health sampler's live MPE
         estimate.  Outlier-routed inserts (``subspace_idx < 0``) carry no
-        subspace residual.  Guarded with ``getattr`` because recovered /
-        unpickled indexes may predate the attribute."""
+        subspace residual."""
         if subspace_idx < 0:
             return
-        residuals = getattr(self, "_insert_residuals", None)
-        if residuals is None:
-            residuals = self._insert_residuals = {}
-        count, total = residuals.get(subspace_idx, (0, 0.0))
-        residuals[subspace_idx] = (count + 1, total + float(residual))
+        count, total = self._insert_residuals.get(subspace_idx, (0, 0.0))
+        self._insert_residuals[subspace_idx] = (
+            count + 1,
+            total + float(residual),
+        )

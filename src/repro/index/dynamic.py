@@ -1,13 +1,15 @@
-"""Online-mutation plumbing shared by the flat-layout schemes.
+"""Online-mutation plumbing: the paper's insert rule for every scheme,
+and the flat-layout schemes' one mutation path.
 
-The extended iDistance carries its own per-partition main+delta layout
-(§5's auxiliary arrays exist for exactly that); ``SequentialScan`` and
-``GlobalLDRIndex`` get the same ``insert``/``delete`` API through the
-simpler machinery here: a single append-only :class:`DeltaStore` holding
-the dynamically inserted vectors (packed into data pages by byte budget),
-plus rid tombstones kept on the index for deletes.  Both are small by
-design — online updates accumulate between index rebuilds, they do not
-reorganize the bulk layout.
+:func:`route_point` is §5's dynamic-insert rule, used by all three
+schemes.  The extended iDistance keeps its own per-partition main+delta
+layout (§5's auxiliary arrays exist for exactly that);
+``SequentialScan`` and ``GlobalLDRIndex`` inherit ``insert``/``delete``
+from :class:`DeltaIndex`: a single append-only :class:`DeltaStore`
+holding the dynamically inserted vectors (packed into data pages by
+byte budget), plus rid tombstones kept on the index for deletes.  Both
+are small by design — online updates accumulate between index rebuilds,
+they do not reorganize the bulk layout.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 from ..reduction.base import ReducedDataset
 from ..storage.metrics import CostCounters
 from ..storage.pager import PAGE_SIZE, PageStore, vector_bytes
+from .base import DEFAULT_POOL_PAGES, VectorIndex
 
-__all__ = ["DeltaStore", "route_point"]
+__all__ = ["DeltaIndex", "DeltaStore", "route_point"]
 
 
 def route_point(
@@ -66,9 +69,20 @@ class DeltaStore:
         self.subspace_ids: List[int] = []  # -1 = full-dimensional outlier
         self.pages: List[int] = []
         self.bytes_in_last_page = 0
+        self._rid_set: set = set()
 
     def __len__(self) -> int:
         return len(self.rids)
+
+    def __contains__(self, rid: int) -> bool:
+        return rid in self._rid_set
+
+    def _append(self, rid: int, subspace_id: int, vector: np.ndarray) -> None:
+        rid = int(rid)
+        self.vectors.append(vector)
+        self.rids.append(rid)
+        self.subspace_ids.append(int(subspace_id))
+        self._rid_set.add(rid)
 
     def add(
         self,
@@ -92,9 +106,7 @@ class DeltaStore:
             )
             self.bytes_in_last_page = 0
         self.bytes_in_last_page += nbytes
-        self.vectors.append(vector)
-        self.rids.append(int(rid))
-        self.subspace_ids.append(int(subspace_id))
+        self._append(rid, subspace_id, vector)
 
     def entries(self):
         """Iterate ``(vector, rid, subspace_id)`` in insertion order."""
@@ -139,11 +151,90 @@ class DeltaStore:
     ) -> None:
         """Metadata redo: append an entry whose page allocations were
         already replayed physically; restore the page-fill state."""
-        self.vectors.append(np.asarray(vector, dtype=np.float64))
-        self.rids.append(int(rid))
-        self.subspace_ids.append(int(subspace_id))
+        self._append(rid, subspace_id, np.asarray(vector, dtype=np.float64))
         if fill_meta is not None:
             self.pages = list(fill_meta["delta_pages"])
             self.bytes_in_last_page = int(
                 fill_meta["delta_bytes_in_last_page"]
             )
+
+
+class DeltaIndex(VectorIndex):
+    """The flat-layout schemes' online mutation (DESIGN.md §10).
+
+    Inserts are routed by :func:`route_point` and appended to one
+    :class:`DeltaStore` (labelled :attr:`delta_label`, which keys its
+    page allocations); deletes tombstone the rid.  Both run as WAL
+    transactions when :meth:`~repro.index.base.VectorIndex.enable_wal`
+    is active.
+    """
+
+    #: Label of the scheme's delta store pages (each subclass sets one).
+    delta_label: str
+
+    def __init__(
+        self,
+        reduced: ReducedDataset,
+        pool_pages: int = DEFAULT_POOL_PAGES,
+        store_factory=None,
+    ) -> None:
+        super().__init__(pool_pages=pool_pages, store_factory=store_factory)
+        self.reduced = reduced
+        self.delta = DeltaStore(self.delta_label)
+
+    def insert(
+        self, point: np.ndarray, rid: int, beta: float = 0.1
+    ) -> int:
+        """Insert a point into the delta store, routed like the paper's
+        dynamic insert (nearest subspace within β, else outlier).  Returns
+        the subspace index used (-1 for outlier/full-d).  Raises
+        ``ValueError`` for a live or deleted rid."""
+        point = self._prepare_point(point)
+        rid = self._check_new_rid(rid)
+        sidx, vector, residual = route_point(self.reduced, point, beta)
+        self._note_routed_insert(sidx, residual)
+        with self._wal_txn("insert") as txn:
+            self.delta.add(self.store, rid, sidx, vector)
+            self.n_inserted += 1
+            if txn is not None:
+                txn.set_meta(
+                    {
+                        "kind": "insert",
+                        "rid": rid,
+                        "subspace": sidx,
+                        "vector": vector,
+                        **self.delta.fill_meta(),
+                    }
+                )
+        return sidx
+
+    def delete(self, rid: int) -> None:
+        """Tombstone a record id.  Raises ``KeyError`` for unknown or
+        already-deleted rids."""
+        rid = int(rid)
+        if rid in self._tombstones:
+            raise KeyError(f"rid {rid} was already deleted")
+        if not self._holds(rid):
+            raise KeyError(f"rid {rid} is not in the index")
+        with self._wal_txn("delete") as txn:
+            self._tombstones.add(rid)
+            if txn is not None:
+                txn.set_meta({"kind": "delete", "rid": rid})
+
+    def _holds(self, rid: int) -> bool:
+        return 0 <= rid < self.reduced.n_points or rid in self.delta
+
+    def _delta_rids(self):
+        return self.delta.rids
+
+    def _apply_recovery_meta(self, meta: dict) -> None:
+        kind = meta["kind"]
+        if kind == "insert":
+            self.delta.apply_insert(
+                meta["rid"], meta["subspace"], meta["vector"], meta
+            )
+            self.n_inserted += 1
+        elif kind == "delete":
+            self._tombstones.add(int(meta["rid"]))
+        else:
+            raise ValueError(f"unknown recovery meta kind {kind!r}")

@@ -25,17 +25,18 @@ import numpy as np
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors
-from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
-from .dynamic import DeltaStore, route_point
+from .base import DEFAULT_POOL_PAGES, KNNResult
+from .dynamic import DeltaIndex
 from .hybrid_tree import HybridTree, offer_block
 
 __all__ = ["GlobalLDRIndex"]
 
 
-class GlobalLDRIndex(VectorIndex):
+class GlobalLDRIndex(DeltaIndex):
     """One Hybrid tree per reduced cluster + sequential outlier scan."""
 
     name = "gLDR"
+    delta_label = "gldr"
 
     def __init__(
         self,
@@ -43,8 +44,9 @@ class GlobalLDRIndex(VectorIndex):
         pool_pages: int = DEFAULT_POOL_PAGES,
         store_factory=None,
     ) -> None:
-        super().__init__(pool_pages=pool_pages, store_factory=store_factory)
-        self.reduced = reduced
+        super().__init__(
+            reduced, pool_pages=pool_pages, store_factory=store_factory
+        )
         self.trees: List[HybridTree] = []
         for subspace in reduced.subspaces:
             self.trees.append(
@@ -60,73 +62,6 @@ class GlobalLDRIndex(VectorIndex):
         )
         for _ in range(self.outlier_pages):
             self.store.allocate(("gldr-outliers",), 0)
-        self.delta = DeltaStore("gldr")
-        self.n_inserted = 0
-        self._tombstones: set = set()
-
-    # ------------------------------------------------------------------
-    # online mutation
-    # ------------------------------------------------------------------
-
-    def insert(
-        self, point: np.ndarray, rid: int, beta: float = 0.1
-    ) -> int:
-        """Insert a point into the index's delta store, routed like the
-        paper's dynamic insert (nearest subspace within β, else outlier).
-        The delta rides alongside the Hybrid trees and is scanned by every
-        query.  Returns the subspace index used (-1 for outlier/full-d)."""
-        point = self._prepare_point(point)
-        rid = int(rid)
-        if rid in self._tombstones:
-            raise ValueError(
-                f"rid {rid} was deleted from this index; deleted ids "
-                "cannot be reused before a rebuild"
-            )
-        sidx, vector, residual = route_point(self.reduced, point, beta)
-        self._note_routed_insert(sidx, residual)
-        with self._wal_txn("insert") as txn:
-            self.delta.add(self.store, rid, sidx, vector)
-            self.n_inserted += 1
-            if txn is not None:
-                txn.set_meta(
-                    {
-                        "kind": "insert",
-                        "rid": rid,
-                        "subspace": sidx,
-                        "vector": vector,
-                        **self.delta.fill_meta(),
-                    }
-                )
-        return sidx
-
-    def delete(self, rid: int) -> None:
-        """Tombstone a record id.  Raises ``KeyError`` for unknown or
-        already-deleted rids."""
-        rid = int(rid)
-        if rid in self._tombstones:
-            raise KeyError(f"rid {rid} was already deleted")
-        if not (0 <= rid < self.reduced.n_points) and (
-            rid not in self.delta.rids
-        ):
-            raise KeyError(f"rid {rid} is not in the index")
-        with self._wal_txn("delete") as txn:
-            self._tombstones.add(rid)
-            if txn is not None:
-                txn.set_meta({"kind": "delete", "rid": rid})
-
-    def _apply_recovery_meta(self, meta: dict) -> None:
-        if not hasattr(self, "_tombstones"):
-            self._tombstones = set()
-        kind = meta["kind"]
-        if kind == "insert":
-            self.delta.apply_insert(
-                meta["rid"], meta["subspace"], meta["vector"], meta
-            )
-            self.n_inserted = getattr(self, "n_inserted", 0) + 1
-        elif kind == "delete":
-            self._tombstones.add(int(meta["rid"]))
-        else:
-            raise ValueError(f"unknown recovery meta kind {kind!r}")
 
     def knn(
         self,
@@ -139,7 +74,7 @@ class GlobalLDRIndex(VectorIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         tracer = ensure_tracer(tracer)
         (ids, distances), stats = self._measured(
-            self._search, query, k, tracer, tracer=tracer, k=k
+            self._search, query, k, tracer, tracer=tracer
         )
         return KNNResult(ids=ids, distances=distances, stats=stats)
 
@@ -203,8 +138,8 @@ class GlobalLDRIndex(VectorIndex):
 
         # Delta store next (few entries; exact distances, like outliers):
         # scoring it before the trees tightens the bound further.
-        delta = getattr(self, "delta", None)
-        if delta is not None and len(delta):
+        delta = self.delta
+        if len(delta):
             with tracer.span(
                 "gldr.delta_scan",
                 counters=self.counters,

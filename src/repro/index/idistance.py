@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -60,6 +61,7 @@ from ..linalg.kernels import (
     cold_lru_physical_reads,
     flat_l2,
     multi_arange,
+    normalize_rows,
 )
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
@@ -68,6 +70,7 @@ from ..storage.buffer import BufferPool
 from ..storage.metrics import CostCounters, CostSnapshot
 from ..storage.pager import PAGE_SIZE, vector_bytes
 from .base import DEFAULT_POOL_PAGES, KNNResult, QueryStats, VectorIndex
+from .dynamic import route_point
 
 __all__ = ["ExtendedIDistance"]
 
@@ -277,12 +280,10 @@ class ExtendedIDistance(VectorIndex):
         # Locations of dynamically inserted rids (possibly sparse / beyond
         # the bulk id range); positions count past the bulk arrays into the
         # partition's delta store.
+        # Deletes remove the B+-tree entry physically and tombstone the rid,
+        # but leave the (immutable) bulk/delta vector arrays alone; scans
+        # filter dead rids when offering candidates.
         self._delta_location: Dict[int, Tuple[int, int]] = {}
-        self.n_inserted = 0
-        # Deleted rids.  Deletes remove the B+-tree entry physically but
-        # leave the (immutable) bulk/delta vector arrays alone; scans filter
-        # dead rids when offering candidates.
-        self._tombstones: set = set()
         self.tree = BPlusTree(self.store, self.pool)
         self._bulk_load_tree()
         # Entry rank -> leaf page, for charging tree I/O during scans: the
@@ -389,41 +390,31 @@ class ExtendedIDistance(VectorIndex):
     def insert(
         self, point: np.ndarray, rid: int, beta: float = 0.1
     ) -> int:
-        """Insert a new point, routing it like the paper's dynamic insert:
-        the subspace with the smallest ProjDist_r hosts the point if that
-        distance is within β, otherwise it joins the outlier partition.
+        """Insert a new point, routed by the paper's dynamic-insert rule
+        (:func:`~repro.index.dynamic.route_point`): the subspace with the
+        smallest ProjDist_r hosts the point if that distance is within β,
+        otherwise it joins the outlier partition.  Partition ``i`` is
+        subspace ``i``; the outlier partition is the last.
 
         The point's key goes into the shared B+-tree; its vector joins the
         partition's delta store (a main+delta layout: bulk-loaded arrays
         stay immutable, deltas are scored on first contact by a query).
-        Returns the partition index used.
+        Returns the subspace index used (-1 for the outlier partition).
 
-        Raises ``ValueError`` if the point's key offset would not fit the
-        partition's key range (the stretch constant ``c`` is fixed at
-        build time) or if no outlier partition exists to absorb a
-        non-conforming point.
+        Raises ``ValueError`` for a live or deleted rid, if the point's
+        key offset would not fit the partition's key range (the stretch
+        constant ``c`` is fixed at build time), or if no outlier partition
+        exists to absorb a non-conforming point.
         """
         point = self._prepare_point(point)
-        best: Optional[_Partition] = None
-        best_dist = np.inf
-        for partition in self.partitions:
-            if partition.subspace is None:
-                continue
-            dist = float(partition.subspace.proj_dist_r(point)[0])
-            if dist < best_dist:
-                best, best_dist = partition, dist
-        if best is None or best_dist > beta:
-            outliers = [
-                p for p in self.partitions if p.subspace is None
-            ]
-            if not outliers:
-                raise ValueError(
-                    "point fits no subspace within beta and the index was "
-                    "built without an outlier partition"
-                )
-            best = outliers[0]
-
-        vector = best.project_query(point)
+        rid = self._check_new_rid(rid)
+        sidx, vector, residual = route_point(self.reduced, point, beta)
+        if sidx < 0 and len(self.partitions) == len(self.reduced.subspaces):
+            raise ValueError(
+                "point fits no subspace within beta and the index was "
+                "built without an outlier partition"
+            )
+        best = self.partitions[sidx]
         offset = float(np.linalg.norm(vector - best.centroid))
         # Keys must stay inside the partition's [i*c, (i+1)*c) range — except
         # in the *last* partition (the outlier set, when present), above
@@ -434,15 +425,7 @@ class ExtendedIDistance(VectorIndex):
                 f"constant c={self.c:.4f}; rebuild the index to extend "
                 "its key space"
             )
-        rid = int(rid)
-        if rid in getattr(self, "_tombstones", ()):
-            raise ValueError(
-                f"rid {rid} was deleted from this index; deleted ids "
-                "cannot be reused before a rebuild"
-            )
-        self._note_routed_insert(
-            best.index if best.subspace is not None else -1, best_dist
-        )
+        self._note_routed_insert(sidx, residual)
         with self._wal_txn("insert") as txn:
             self.tree.insert(best.index * self.c + offset, rid)
             best.delta_vectors.append(vector)
@@ -465,7 +448,7 @@ class ExtendedIDistance(VectorIndex):
                         0,
                     )
                 )
-            self.n_inserted = getattr(self, "n_inserted", 0) + 1
+            self.n_inserted += 1
             if txn is not None:
                 txn.set_meta(
                     {
@@ -479,14 +462,13 @@ class ExtendedIDistance(VectorIndex):
                         **self._tree_meta(),
                     }
                 )
-        return best.index
+        return sidx
 
-    def delete(self, rid: int) -> int:
+    def delete(self, rid: int) -> None:
         """Delete a record id: remove its B+-tree entry physically and
         tombstone the rid (the immutable vector arrays keep the dead entry;
-        scans still score it but filter it from results).  Returns the
-        partition index the rid lived in.  Raises ``KeyError`` for unknown
-        or already-deleted rids.
+        scans still score it but filter it from results).  Raises
+        ``KeyError`` for unknown or already-deleted rids.
         """
         rid = int(rid)
         part_idx, position = self.locate(rid)
@@ -508,7 +490,6 @@ class ExtendedIDistance(VectorIndex):
                 txn.set_meta(
                     {"kind": "delete", "rid": rid, **self._tree_meta()}
                 )
-        return part_idx
 
     def _tree_meta(self) -> dict:
         """The B+-tree's in-memory scalars, for a commit after-image
@@ -521,8 +502,6 @@ class ExtendedIDistance(VectorIndex):
         }
 
     def _apply_recovery_meta(self, meta: dict) -> None:
-        if not hasattr(self, "_tombstones"):
-            self._tombstones = set()
         kind = meta["kind"]
         if kind == "insert":
             partition = self.partitions[meta["partition"]]
@@ -536,7 +515,7 @@ class ExtendedIDistance(VectorIndex):
                 partition.index,
                 partition.rids.size + len(partition.delta_rids) - 1,
             )
-            self.n_inserted = getattr(self, "n_inserted", 0) + 1
+            self.n_inserted += 1
         elif kind == "delete":
             self._tombstones.add(int(meta["rid"]))
         else:
@@ -555,11 +534,20 @@ class ExtendedIDistance(VectorIndex):
         address the delta store (``position - partition.rids.size`` into
         ``partition.delta_vectors``), in insertion order.  Bulk locations
         come from the rid map built at load time; dynamic inserts register
-        themselves as they arrive.  Raises ``KeyError`` for unknown rids.
+        themselves as they arrive.  Raises ``KeyError`` for unknown or
+        deleted rids.
         """
         rid = int(rid)
-        if rid in getattr(self, "_tombstones", ()):
+        if rid in self._tombstones:
             raise KeyError(f"rid {rid} was deleted from the index")
+        location = self._location(rid)
+        if location is None:
+            raise KeyError(f"rid {rid} is not in the index")
+        return location
+
+    def _location(self, rid: int) -> Optional[Tuple[int, int]]:
+        """:meth:`locate` without the checks: ``None`` for unknown rids,
+        the stored location for tombstoned ones."""
         if (
             0 <= rid < self._rid_location.shape[0]
             and self._rid_location[rid, 0] >= 0
@@ -568,10 +556,13 @@ class ExtendedIDistance(VectorIndex):
                 int(self._rid_location[rid, 0]),
                 int(self._rid_location[rid, 1]),
             )
-        location = self._delta_location.get(rid)
-        if location is None:
-            raise KeyError(f"rid {rid} is not in the index")
-        return location
+        return self._delta_location.get(rid)
+
+    def _holds(self, rid: int) -> bool:
+        return self._location(rid) is not None
+
+    def _delta_rids(self):
+        return self._delta_location.keys()
 
     # ------------------------------------------------------------------
     # search
@@ -588,7 +579,7 @@ class ExtendedIDistance(VectorIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         tracer = ensure_tracer(tracer)
         (ids, distances), stats = self._measured(
-            self._knn_live, query, k, tracer, tracer=tracer, k=k
+            self._knn_live, query, k, tracer, tracer=tracer
         )
         if tracer.enabled:
             tracer.histogram("knn.candidates_per_query").observe(
@@ -616,8 +607,10 @@ class ExtendedIDistance(VectorIndex):
 
         Each query's recorded page sequence is settled against an exact
         LRU replay at the end; the batch totals are then folded into the
-        index's own counters.
+        index's own counters.  The block's elapsed time is shared out
+        equally as each query's ``cpu_seconds``.
         """
+        start = time.perf_counter()
         n_queries = queries.shape[0]
         if n_queries == 0:
             return (
@@ -625,33 +618,41 @@ class ExtendedIDistance(VectorIndex):
                 np.empty((0, 0), dtype=np.float64),
                 [],
             )
-        ledgers = [_QueryLedger() for _ in range(n_queries)]
-        ids, distances = self._shared_scan(queries, k, ledgers, tracer)
-        with tracer.span("knn.batch.settle", n_queries=n_queries):
-            logical, physical = _settle_ledgers(
-                ledgers, self.pool.capacity_pages
-            )
-            stats = [
-                QueryStats(
-                    page_reads=int(reads),
-                    distance_computations=led.distance_computations,
-                    distance_flops=led.distance_flops,
-                    key_comparisons=led.key_comparisons,
-                    cpu_seconds=0.0,
+        if self.metric == "cosine":
+            # knn normalizes each row in _check_query; the block is
+            # normalized here, once (normalizing twice can move bits).
+            queries = normalize_rows(queries)
+        with self.counters.cpu_timer():
+            ledgers = [_QueryLedger() for _ in range(n_queries)]
+            ids, distances = self._shared_scan(queries, k, ledgers, tracer)
+            with tracer.span("knn.batch.settle", n_queries=n_queries):
+                logical, physical = _settle_ledgers(
+                    ledgers, self.pool.capacity_pages
                 )
-                for reads, led in zip(physical.tolist(), ledgers)
-            ]
-        self.counters.merge(
-            CostSnapshot(
-                logical_reads=int(logical.sum()),
-                physical_reads=int(physical.sum()),
-                key_comparisons=sum(s.key_comparisons for s in stats),
-                distance_computations=sum(
-                    s.distance_computations for s in stats
-                ),
-                distance_flops=sum(s.distance_flops for s in stats),
+            self.counters.merge(
+                CostSnapshot(
+                    logical_reads=int(logical.sum()),
+                    physical_reads=int(physical.sum()),
+                    key_comparisons=sum(
+                        led.key_comparisons for led in ledgers
+                    ),
+                    distance_computations=sum(
+                        led.distance_computations for led in ledgers
+                    ),
+                    distance_flops=sum(led.distance_flops for led in ledgers),
+                )
             )
-        )
+        share = (time.perf_counter() - start) / n_queries
+        stats = [
+            QueryStats(
+                page_reads=int(reads),
+                distance_computations=led.distance_computations,
+                distance_flops=led.distance_flops,
+                key_comparisons=led.key_comparisons,
+                cpu_seconds=share,
+            )
+            for reads, led in zip(physical.tolist(), ledgers)
+        ]
         return ids, distances, stats
 
     def _shared_scan(

@@ -7,11 +7,9 @@ vector.  No index structure, no random I/O: for a reduced dataset of
 ``ceil(n * d_r * 4 / 4096)`` sequential page reads — the bar the paper shows
 gLDR falling *behind* once the dimensionality reaches ~20.
 
-Online mutation (DESIGN.md §10): inserts append to a
-:class:`~repro.index.dynamic.DeltaStore` whose pages join the scan;
-deletes tombstone the rid, and the scan still scores the dead entry but
-filters it from the result — both run as WAL transactions when
-:meth:`~repro.index.base.VectorIndex.enable_wal` is active.
+Online mutation (DESIGN.md §10) comes from
+:class:`~repro.index.dynamic.DeltaIndex`: inserted vectors' pages join
+the scan; a deleted rid is still scored but filtered from the result.
 """
 
 from __future__ import annotations
@@ -23,16 +21,17 @@ import numpy as np
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors
-from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
-from .dynamic import DeltaStore, route_point
+from .base import DEFAULT_POOL_PAGES, KNNResult
+from .dynamic import DeltaIndex
 
 __all__ = ["SequentialScan"]
 
 
-class SequentialScan(VectorIndex):
+class SequentialScan(DeltaIndex):
     """Full scan of the reduced representations (subspace-aware scoring)."""
 
     name = "SeqScan"
+    delta_label = "seqscan"
 
     def __init__(
         self,
@@ -40,8 +39,9 @@ class SequentialScan(VectorIndex):
         pool_pages: int = DEFAULT_POOL_PAGES,
         store_factory=None,
     ) -> None:
-        super().__init__(pool_pages=pool_pages, store_factory=store_factory)
-        self.reduced = reduced
+        super().__init__(
+            reduced, pool_pages=pool_pages, store_factory=store_factory
+        )
         #: Pages the bulk-loaded data occupies (subspaces + outliers).
         self.scan_pages = sum(
             pages_for_vectors(s.size, s.reduced_dim)
@@ -61,77 +61,11 @@ class SequentialScan(VectorIndex):
             pages_for_vectors(reduced.outliers.size, reduced.dimensionality)
         ):
             self.store.allocate(("seqscan-outliers",), 0)
-        self.delta = DeltaStore("seqscan")
-        self.n_inserted = 0
-        self._tombstones: set = set()
 
     @property
     def total_scan_pages(self) -> int:
         """Pages one full scan reads: bulk data plus the insert delta."""
         return self.scan_pages + len(self.delta.pages)
-
-    # ------------------------------------------------------------------
-    # online mutation
-    # ------------------------------------------------------------------
-
-    def insert(
-        self, point: np.ndarray, rid: int, beta: float = 0.1
-    ) -> int:
-        """Insert a point into the scan's delta store, routed like the
-        paper's dynamic insert (nearest subspace within β, else outlier).
-        Returns the subspace index used (-1 for outlier/full-d)."""
-        point = self._prepare_point(point)
-        rid = int(rid)
-        if rid in self._tombstones:
-            raise ValueError(
-                f"rid {rid} was deleted from this index; deleted ids "
-                "cannot be reused before a rebuild"
-            )
-        sidx, vector, residual = route_point(self.reduced, point, beta)
-        self._note_routed_insert(sidx, residual)
-        with self._wal_txn("insert") as txn:
-            self.delta.add(self.store, rid, sidx, vector)
-            self.n_inserted += 1
-            if txn is not None:
-                txn.set_meta(
-                    {
-                        "kind": "insert",
-                        "rid": rid,
-                        "subspace": sidx,
-                        "vector": vector,
-                        **self.delta.fill_meta(),
-                    }
-                )
-        return sidx
-
-    def delete(self, rid: int) -> None:
-        """Tombstone a record id.  Raises ``KeyError`` for unknown or
-        already-deleted rids."""
-        rid = int(rid)
-        if rid in self._tombstones:
-            raise KeyError(f"rid {rid} was already deleted")
-        if not (0 <= rid < self.reduced.n_points) and (
-            rid not in self.delta.rids
-        ):
-            raise KeyError(f"rid {rid} is not in the index")
-        with self._wal_txn("delete") as txn:
-            self._tombstones.add(rid)
-            if txn is not None:
-                txn.set_meta({"kind": "delete", "rid": rid})
-
-    def _apply_recovery_meta(self, meta: dict) -> None:
-        if not hasattr(self, "_tombstones"):
-            self._tombstones = set()
-        kind = meta["kind"]
-        if kind == "insert":
-            self.delta.apply_insert(
-                meta["rid"], meta["subspace"], meta["vector"], meta
-            )
-            self.n_inserted = getattr(self, "n_inserted", 0) + 1
-        elif kind == "delete":
-            self._tombstones.add(int(meta["rid"]))
-        else:
-            raise ValueError(f"unknown recovery meta kind {kind!r}")
 
     # ------------------------------------------------------------------
     # search
@@ -148,7 +82,7 @@ class SequentialScan(VectorIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         tracer = ensure_tracer(tracer)
         (ids, distances), stats = self._measured(
-            self._scan, query, k, tracer, tracer=tracer, k=k
+            self._scan, query, k, tracer, tracer=tracer
         )
         return KNNResult(ids=ids, distances=distances, stats=stats)
 

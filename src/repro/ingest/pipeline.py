@@ -320,10 +320,17 @@ class IngestPipeline:
         """Bulk-build generation 1 from ``points`` (global rids
         ``0..n-1``), publish it, and boot through the recovery path —
         every pipeline start exercises recovery, as the serving layer's
-        workers do."""
+        workers do.  ``root`` must not hold a pipeline already (a
+        ``CURRENT`` pointer or an oplog): use :meth:`open` to resume
+        one."""
         points = np.ascontiguousarray(points, dtype=np.float64)
         vectors = {i: points[i] for i in range(points.shape[0])}
         store = GenerationStore(root, crashpoint=None)
+        if store.current_path.exists() or store.oplog_path.exists():
+            raise IngestError(
+                f"{store.root} already holds an ingestion pipeline; "
+                "open it, or create in a fresh directory"
+            )
         factory = MmapPageStore if page_store == "mmap" else None
         index, matrix, rid_map = build_from_vectors(
             vectors, reduce_fn, scheme, store_factory=factory

@@ -15,8 +15,6 @@ whole-query granularity:
   each query as an explain-plan tree.
 * :mod:`repro.obs.explain` — :class:`QueryExplain`, one query's span tree
   as an exactly-telescoping cost breakdown (``VectorIndex.explain``).
-* :mod:`repro.obs.flight` — :class:`FlightRecorder`, a bounded ring of
-  per-query cost summaries with a logical slow-query threshold.
 * :mod:`repro.obs.health` — :class:`HealthSampler` /
   :class:`HealthReport`, structural index gauges (MPE drift, tombstones,
   delta growth, WAL backlog) with advisory thresholds.
@@ -28,7 +26,6 @@ spans under its own with :meth:`Tracer.adopt_spans`.
 """
 
 from .explain import QueryExplain, explain_from_records, explain_from_tracer
-from .flight import FlightRecorder, logical_cost
 from .health import HealthReport, HealthSampler, drift_scores
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -48,7 +45,6 @@ from .tracer import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "FlightRecorder",
     "Gauge",
     "HealthReport",
     "HealthSampler",
@@ -63,5 +59,4 @@ __all__ = [
     "drift_scores",
     "explain_from_records",
     "explain_from_tracer",
-    "logical_cost",
 ]

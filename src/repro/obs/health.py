@@ -128,9 +128,7 @@ def drift_scores(index) -> Dict[int, float]:
     reduced = getattr(index, "reduced", None)
     if reduced is None:
         return {}
-    residuals: Dict[int, Tuple[int, float]] = getattr(
-        index, "_insert_residuals", None
-    ) or {}
+    residuals = index._insert_residuals
     return {
         i: _live_mpe(subspace, residuals, i)[1]
         for i, subspace in enumerate(reduced.subspaces)
@@ -142,9 +140,7 @@ def _mpe_gauges(index) -> Dict[str, float]:
     reduced = getattr(index, "reduced", None)
     if reduced is None:
         return {}
-    residuals: Dict[int, Tuple[int, float]] = getattr(
-        index, "_insert_residuals", None
-    ) or {}
+    residuals = index._insert_residuals
     gauges: Dict[str, float] = {}
     max_drift = 0.0
     for i, subspace in enumerate(reduced.subspaces):
@@ -155,27 +151,14 @@ def _mpe_gauges(index) -> Dict[str, float]:
     return gauges
 
 
-def _delta_entry_count(index) -> int:
-    """Online inserts still living in delta structures (scheme-agnostic:
-    iDistance tracks per-partition delta pages via ``_delta_location``;
-    SeqScan/gLDR keep a shared :class:`~repro.index.dynamic.DeltaStore`)."""
-    locations = getattr(index, "_delta_location", None)
-    if locations is not None:
-        return len(locations)
-    delta = getattr(index, "delta", None)
-    if delta is not None:
-        return len(delta.rids)
-    return 0
-
-
 def sample_gauges(index) -> Dict[str, float]:
     """Snapshot every health gauge the index can answer right now."""
     gauges: Dict[str, float] = {}
     gauges.update(_mpe_gauges(index))
 
     live = float(index.live_count)
-    tombstones = float(len(getattr(index, "_tombstones", ())))
-    delta_entries = float(_delta_entry_count(index))
+    tombstones = float(len(index._tombstones))
+    delta_entries = float(len(index._delta_rids()))
     total = live + tombstones
     gauges["live_count"] = live
     gauges["tombstone_count"] = tombstones

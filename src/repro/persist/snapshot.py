@@ -49,7 +49,10 @@ __all__ = [
 #: versions they do not understand instead of guessing.  Version 2: the
 #: iDistance partitions pickle their bulk vectors column-major
 #: (``_Partition.columns``, ``(width, m)``) instead of as ``(m, width)`` rows.
-SNAPSHOT_FORMAT_VERSION = 2
+#: Version 3: every index carries its online-mutation state
+#: (``n_inserted``, ``_tombstones``, ``_insert_residuals``) from
+#: construction, and flat-layout delta stores keep a rid set.
+SNAPSHOT_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 STATE_NAME = "state.pkl"

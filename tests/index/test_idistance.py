@@ -5,24 +5,14 @@ import pytest
 
 from repro.eval.precision import reduced_knn
 from repro.index.idistance import ExtendedIDistance
-from repro.linalg.kernels import normalize_rows
 from repro.reduction.gdr import GDRReducer
 from repro.reduction.mmdr_adapter import MMDRReducer, model_to_reduced
-from repro.storage.mmap_store import MmapPageStore
 
 
 @pytest.fixture(scope="module")
 def reduced(five_cluster_dataset_module):
     data, _ = five_cluster_dataset_module
     return data, MMDRReducer().reduce(data, np.random.default_rng(5))
-
-
-@pytest.fixture(scope="module")
-def cosine_reduced(five_cluster_dataset_module):
-    data, _ = five_cluster_dataset_module
-    red = MMDRReducer().reduce(normalize_rows(data), np.random.default_rng(5))
-    red.metric = "cosine"
-    return data, red
 
 
 @pytest.fixture(scope="module")
@@ -75,42 +65,6 @@ class TestConstruction:
 
 
 class TestSearch:
-    @pytest.mark.parametrize("metric", ["l2", "cosine"])
-    @pytest.mark.parametrize("store", ["memory", "mmap"])
-    @pytest.mark.parametrize("state", ["bulk", "mutated"])
-    @pytest.mark.parametrize("method", ["knn", "knn_batch"])
-    def test_exact_under_reduced_scoring(
-        self, method, state, store, metric, reduced, cosine_reduced
-    ):
-        """The expanding-radius search must return exactly the reduced-space
-        KNN for every query: the ids of a brute-force scan over every live
-        point's frame vector, and its distances to 1e-9."""
-        data, red = reduced if metric == "l2" else cosine_reduced
-        index = ExtendedIDistance(
-            red,
-            store_factory=MmapPageStore if store == "mmap" else None,
-        )
-        try:
-            frames = _bulk_frames(red)
-            queries = data[:25]
-            if state == "mutated":
-                outlier = _mutate(index, red, data, frames)
-                queries = np.vstack([queries, outlier])
-            want_ids, want_dists = _brute_force_knn(red, frames, queries, 10)
-            if method == "knn":
-                results = [index.knn(query, 10) for query in queries]
-                got_ids = np.vstack([r.ids for r in results])
-                got_dists = np.vstack([r.distances for r in results])
-            else:
-                batch = index.knn_batch(queries, 10)
-                got_ids, got_dists = batch.ids, batch.distances
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_allclose(
-                got_dists, want_dists, rtol=0, atol=1e-9
-            )
-        finally:
-            index.store.close()
-
     def test_distances_sorted_ascending(self, reduced):
         data, red = reduced
         index = ExtendedIDistance(red)
@@ -259,79 +213,3 @@ class TestIOAccounting:
         true = np.argsort(np.linalg.norm(data - data[0], axis=1))[:5]
         assert set(result.ids.tolist()) == set(true.tolist())
 
-
-def _frame_point(red, point):
-    """``point`` as the index stores it: unit length under cosine."""
-    point = np.asarray(point, dtype=np.float64)
-    if red.metric == "cosine":
-        return normalize_rows(point[None, :])[0]
-    return point
-
-
-def _bulk_frames(red):
-    """Live rid -> (subspace index or -1 for outliers, frame vector)."""
-    frames = {}
-    for sidx, subspace in enumerate(red.subspaces):
-        for rid, vec in zip(subspace.member_ids, subspace.projections):
-            frames[int(rid)] = (sidx, vec)
-    for rid, vec in zip(red.outliers.member_ids, red.outliers.points):
-        frames[int(rid)] = (-1, vec)
-    return frames
-
-
-def _mutate(index, red, data, frames):
-    """Insert jittered copies of early points into the delta stores (next
-    to the queries' answers) and one far point that routes to the outlier
-    partition, then delete some bulk and some inserted rids.  Returns the
-    outlier insert, a query whose nearest neighbor is itself."""
-    rng = np.random.default_rng(8)
-    next_rid = red.n_points
-    outlier = data[41] + rng.normal(0.0, 1.0, data.shape[1])
-    points = [
-        data[i] + rng.normal(0.0, 1e-3, data.shape[1])
-        for i in range(0, 40, 2)
-    ]
-    for point in points + [outlier]:
-        partition = index.insert(point, next_rid)
-        point = _frame_point(red, point)
-        if partition < len(red.subspaces):
-            frames[next_rid] = (
-                partition, red.subspaces[partition].project(point)
-            )
-        else:
-            frames[next_rid] = (-1, point)
-        next_rid += 1
-    assert frames[next_rid - 1][0] == -1  # the far point is an outlier
-    for rid in (1, 3, 5, 7, red.n_points, red.n_points + 5):
-        index.delete(rid)
-        del frames[rid]
-    return outlier
-
-
-def _brute_force_knn(red, frames, queries, k):
-    """Exact top-``k`` by scanning every live frame vector."""
-    groups = {}
-    for rid in sorted(frames):
-        sidx, vec = frames[rid]
-        groups.setdefault(sidx, ([], []))
-        groups[sidx][0].append(rid)
-        groups[sidx][1].append(vec)
-    rids = np.concatenate(
-        [np.asarray(g[0], dtype=np.int64) for g in groups.values()]
-    )
-    blocks = {sidx: np.vstack(g[1]) for sidx, g in groups.items()}
-    ids = np.empty((len(queries), k), dtype=np.int64)
-    dists = np.empty((len(queries), k))
-    for qi, query in enumerate(queries):
-        query = _frame_point(red, query)
-        scores = np.concatenate([
-            np.linalg.norm(
-                block
-                - (red.subspaces[sidx].project(query) if sidx >= 0 else query),
-                axis=1,
-            )
-            for sidx, block in blocks.items()
-        ])
-        order = np.argsort(scores, kind="stable")[:k]
-        ids[qi], dists[qi] = rids[order], scores[order]
-    return ids, dists

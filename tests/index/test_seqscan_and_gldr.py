@@ -1,4 +1,5 @@
-"""Sequential scan and gLDR composite index."""
+"""Sequential scan and gLDR composite index, and the brute-force
+exactness check every scheme in ``INDEX_SCHEMES`` must pass."""
 
 import dataclasses
 
@@ -7,14 +8,13 @@ import pytest
 
 from repro.core.subspace import OutlierSet
 from repro.eval.precision import reduced_knn
+from repro.index import INDEX_SCHEMES
 from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.seqscan import SequentialScan
 from repro.linalg.kernels import normalize_rows
 from repro.reduction.ldr import LDRReducer
 from repro.storage.mmap_store import MmapPageStore
 from repro.storage.pager import pages_for_vectors
-
-from .test_idistance import _brute_force_knn, _bulk_frames, _frame_point
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,54 @@ def ldr_cosine_reduced(ldr_data):
     )
     red.metric = "cosine"
     return ldr_data, red
+
+
+def _frame_point(red, point):
+    """``point`` as the index stores it: unit length under cosine."""
+    point = np.asarray(point, dtype=np.float64)
+    if red.metric == "cosine":
+        return normalize_rows(point[None, :])[0]
+    return point
+
+
+def _bulk_frames(red):
+    """Live rid -> (subspace index or -1 for outliers, frame vector)."""
+    frames = {}
+    for sidx, subspace in enumerate(red.subspaces):
+        for rid, vec in zip(subspace.member_ids, subspace.projections):
+            frames[int(rid)] = (sidx, vec)
+    for rid, vec in zip(red.outliers.member_ids, red.outliers.points):
+        frames[int(rid)] = (-1, vec)
+    return frames
+
+
+def _brute_force_knn(red, frames, queries, k):
+    """Exact top-``k`` by scanning every live frame vector."""
+    groups = {}
+    for rid in sorted(frames):
+        sidx, vec = frames[rid]
+        groups.setdefault(sidx, ([], []))
+        groups[sidx][0].append(rid)
+        groups[sidx][1].append(vec)
+    rids = np.concatenate(
+        [np.asarray(g[0], dtype=np.int64) for g in groups.values()]
+    )
+    blocks = {sidx: np.vstack(g[1]) for sidx, g in groups.items()}
+    ids = np.empty((len(queries), k), dtype=np.int64)
+    dists = np.empty((len(queries), k))
+    for qi, query in enumerate(queries):
+        query = _frame_point(red, query)
+        scores = np.concatenate([
+            np.linalg.norm(
+                block
+                - (red.subspaces[sidx].project(query) if sidx >= 0 else query),
+                axis=1,
+            )
+            for sidx, block in blocks.items()
+        ])
+        order = np.argsort(scores, kind="stable")[:k]
+        ids[qi], dists[qi] = rids[order], scores[order]
+    return ids, dists
 
 
 def _mutate(index, red, data, frames):
@@ -121,7 +169,7 @@ class TestSequentialScan:
             SequentialScan(red).knn(data[0], 0)
 
 
-@pytest.mark.parametrize("scheme", [GlobalLDRIndex, SequentialScan])
+@pytest.mark.parametrize("scheme", list(INDEX_SCHEMES.values()))
 @pytest.mark.parametrize("metric", ["l2", "cosine"])
 @pytest.mark.parametrize("store", ["memory", "mmap"])
 @pytest.mark.parametrize("state", ["bulk", "mutated"])
@@ -155,6 +203,24 @@ def test_exact_against_brute_force(
         np.testing.assert_allclose(got_dists, want_dists, rtol=0, atol=1e-9)
     finally:
         index.store.close()
+
+
+@pytest.mark.parametrize("scheme", list(INDEX_SCHEMES.values()))
+def test_insert_rejects_a_live_or_deleted_rid(scheme, ldr_reduced):
+    """A rid already live (bulk-loaded or inserted) or deleted cannot be
+    inserted again: the index is left exactly as it was."""
+    data, red = ldr_reduced
+    index = scheme(red)
+    fresh = red.n_points
+    index.insert(data[3] + 1e-6, fresh)
+    index.delete(11)
+    for rid in (7, fresh, 11):
+        with pytest.raises(ValueError):
+            index.insert(data[7] + 1e-6, rid)
+    assert index.live_count == red.n_points
+    assert index.n_inserted == 1
+    ids = index.knn(data[7], 5).ids.tolist()
+    assert ids[0] == 7 and len(set(ids)) == 5
 
 
 class TestGlobalLDR:

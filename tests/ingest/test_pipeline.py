@@ -91,6 +91,17 @@ class TestMutationPath:
         with pytest.raises(IngestError, match="reuse"):
             pipeline.apply(("insert", base_points[3], 3, 1.0))
 
+    def test_create_refuses_a_root_that_holds_a_pipeline(
+        self, pipeline, base_points, reduce_fn
+    ):
+        pipeline.apply(("delete", 3))
+        with pytest.raises(IngestError, match="already holds"):
+            IngestPipeline.create(
+                pipeline.store.root, base_points, reduce_fn, "iMMDR"
+            )
+        # The refused create left the live pipeline's state alone.
+        assert pipeline.n_live == base_points.shape[0] - 1
+
     def test_reopen_replays_ops_the_index_never_committed(
         self, tmp_path, base_points, reduce_fn, ingest_queries
     ):

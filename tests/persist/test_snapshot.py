@@ -183,6 +183,13 @@ class TestFormatErrors:
             with pytest.raises(SnapshotFormatError, match="not supported"):
                 load_index(snapshot)
 
+    def test_v2_snapshot_refused(self, snapshot):
+        # 2 predates the mutation state every index carries from
+        # construction: its pickles may lack it.
+        self.rewrite_manifest(snapshot, format_version=2)
+        with pytest.raises(SnapshotFormatError, match="not supported"):
+            load_index(snapshot)
+
     def test_unknown_class(self, snapshot):
         self.rewrite_manifest(snapshot, **{"class": "EvilIndex"})
         with pytest.raises(SnapshotFormatError):
