@@ -334,15 +334,20 @@ class EllipticalKMeans:
         m = rows.size
         best = np.full(m, np.inf)
         best_label = labels[rows].copy()
+        # One pass over the table: row ``cluster`` of ``listed`` marks the
+        # points that cache it.  ``-1`` pads lists shorter than lookup_k.
+        listed = np.zeros((len(shapes), m), dtype=bool)
+        point, slot = np.nonzero(cached >= 0)
+        listed[cached[point, slot], point] = True
         for cluster in range(len(shapes)):
-            mask = np.any(cached == cluster, axis=1)
-            if not np.any(mask):
+            sel = np.flatnonzero(listed[cluster])
+            if sel.size == 0:
                 continue
             dist = shapes[cluster].normalized_distance(
-                data[rows[mask]], self.normalization, counters
+                data[rows[sel]], self.normalization, counters
             )
-            better = dist < best[mask]
-            idx = np.flatnonzero(mask)[better]
+            better = dist < best[sel]
+            idx = sel[better]
             best[idx] = dist[better]
             best_label[idx] = cluster
 
@@ -378,20 +383,25 @@ class EllipticalKMeans:
     def _recentre(
         data: np.ndarray, labels: np.ndarray, shapes: List[ClusterShape]
     ):
-        """Move centroids to member means (covariances fixed); drop empties."""
+        """Move centroids to member means (covariances fixed); drop empties.
+
+        Rows are grouped once by a stable sort of the labels, so each
+        group lists its members in ascending order, exactly as a
+        ``labels == cluster`` mask would, and its mean keeps its bits.
+        Only the centroid moves, so each shape keeps its factorization.
+        """
         kept: List[ClusterShape] = []
         remap = np.full(len(shapes), -1, dtype=np.int64)
+        # Narrow keys let numpy's stable sort use its radix sort.
+        keys = labels.astype(np.int16) if len(shapes) < 2**15 else labels
+        order = np.argsort(keys, kind="stable")
+        bounds = np.searchsorted(keys[order], np.arange(len(shapes) + 1))
         for cluster, shape in enumerate(shapes):
-            mask = labels == cluster
-            if not np.any(mask):
+            lo, hi = bounds[cluster], bounds[cluster + 1]
+            if lo == hi:
                 continue
             remap[cluster] = len(kept)
-            kept.append(
-                ClusterShape(
-                    centroid=data[mask].mean(axis=0),
-                    covariance=shape.covariance,
-                )
-            )
+            kept.append(shape.moved_to(data[order[lo:hi]].mean(axis=0)))
         dropped = len(kept) < len(shapes)
         new_labels = labels.copy()
         assigned = labels >= 0

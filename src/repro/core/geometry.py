@@ -19,7 +19,7 @@ ellipticity ``e = (b - a) / a`` then reduces to Definition 3.1 in 2-D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +33,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ProjectionDistances:
-    """Both projection distances for a batch of points at a given ``d_r``."""
+    """Both projection distances for a batch of points at a given ``d_r``.
 
-    proj_dist_r: np.ndarray  # information lost (eliminated-component norms)
-    proj_dist_e: np.ndarray  # information kept (retained-component norms)
+    It keeps the squares of the points' coordinates in the full PCA basis,
+    so :meth:`at` splits them again at another ``d_r`` without a second
+    projection.  Each distance is ``sqrt(add.reduce(squares[:, cols]))``,
+    the arithmetic ``np.linalg.norm(coords[:, cols], axis=1)`` performs,
+    on the same values in the same order, so a split is bit-identical to a
+    fresh :func:`projection_distances` call.  ``proj_dist_e`` is computed
+    on first read.
+    """
+
+    def __init__(self, squares: np.ndarray, n_components: int) -> None:
+        self._squares = squares
+        self.n_components = n_components
+        # information lost (eliminated-component norms)
+        self.proj_dist_r = self._norms(slice(n_components, None))
+
+    def _norms(self, cols: slice) -> np.ndarray:
+        return np.sqrt(np.add.reduce(self._squares[:, cols], axis=1))
+
+    @cached_property
+    def proj_dist_e(self) -> np.ndarray:
+        """Information kept (retained-component norms)."""
+        return self._norms(slice(None, self.n_components))
+
+    def at(self, n_components: int) -> "ProjectionDistances":
+        """The same points' distances at another ``d_r``."""
+        return ProjectionDistances(self._squares, n_components)
 
     @property
     def mpe(self) -> float:
@@ -68,14 +91,8 @@ def projection_distances(
             f"points have dimensionality {arr.shape[1]}, "
             f"PCA model expects {model.dimensionality}"
         )
-    centered = arr - model.mean
-    coords = centered @ model.components
-    retained = coords[:, :n_components]
-    eliminated = coords[:, n_components:]
-    return ProjectionDistances(
-        proj_dist_r=np.linalg.norm(eliminated, axis=1),
-        proj_dist_e=np.linalg.norm(retained, axis=1),
-    )
+    coords = (arr - model.mean) @ model.components
+    return ProjectionDistances(coords * coords, n_components)
 
 
 def mean_projection_error(

@@ -39,10 +39,14 @@ from ..linalg.pca import PCAModel, fit_pca, project
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..storage.metrics import CostCounters
 from .config import DEFAULT_CONFIG, MMDRConfig
-from .geometry import ellipticity, projection_distances
+from .geometry import ProjectionDistances, ellipticity, projection_distances
 from .subspace import EllipticalSubspace, MMDRModel, MMDRStats, OutlierSet
 
 __all__ = ["MMDR", "CandidateEllipsoid"]
+
+#: A group's rows, their PCA and their projection distances, handed from a
+#: level to the child level that re-clusters the same rows.
+FittedGroup = Tuple[np.ndarray, PCAModel, ProjectionDistances]
 
 
 @dataclass(eq=False)
@@ -236,7 +240,15 @@ class MMDR:
         counters: CostCounters,
         stats: MMDRStats,
         tracer: Tracer = NULL_TRACER,
+        fitted: Optional[FittedGroup] = None,
     ) -> None:
+        """Discover the ellipsoids in ``data[ids]``, starting at ``s_dim``.
+
+        ``fitted`` is what the parent level already computed for this
+        group: its rows, their PCA and their projection distances.  Passing
+        it saves the child fitting the same rows again; without it the
+        group is fitted here.
+        """
         d = data.shape[1]
         if ids.size < self._min_group:
             outlier_pool.append(ids)
@@ -259,6 +271,7 @@ class MMDR:
                 counters,
                 stats,
                 tracer,
+                fitted,
             )
 
     def _generate_level(
@@ -272,17 +285,22 @@ class MMDR:
         counters: CostCounters,
         stats: MMDRStats,
         tracer: Tracer,
+        fitted: Optional[FittedGroup],
     ) -> None:
         d = data.shape[1]
-        subset = data[ids]
-        pca = fit_pca(subset)
         s_dim = min(s_dim, d)
-
         # Discover the ellipsoid "as soon as the shape can be identified"
         # (§4.1): a subset that is already well represented by its own
         # s_dim-dimensional subspace IS a single ellipsoid — clustering it
-        # further only fragments it.
-        whole_mpe = projection_distances(subset, pca, s_dim).mpe
+        # further only fragments it.  (Only the MPE is kept: the
+        # coordinates would pin an (n, d) array for the whole level.)
+        if fitted is None:
+            subset = data[ids]
+            pca = fit_pca(subset)
+            whole_mpe = projection_distances(subset, pca, s_dim).mpe
+        else:
+            subset, pca, parent_dists = fitted
+            whole_mpe = parent_dists.at(s_dim).mpe
         if whole_mpe <= self.config.max_mpe:
             candidates.append(
                 CandidateEllipsoid(
@@ -319,6 +337,7 @@ class MMDR:
                     )
                 )
             elif 2 * s_dim <= d:
+                # The child re-clusters these same rows: hand it their fit.
                 self._generate_ellipsoid(
                     data,
                     group_ids,
@@ -329,6 +348,7 @@ class MMDR:
                     counters,
                     stats,
                     tracer,
+                    (group_data, local_pca, dists),
                 )
             else:
                 # Deepest level reached and the group is still poorly
@@ -379,11 +399,11 @@ class MMDR:
         result = estimator.fit(projections, rng, counters, tracer)
         stats.clustering_inner_iterations += result.inner_iterations
         stats.clustering_outer_iterations += result.outer_iterations
-        return [
+        groups = (
             ids[result.members(cluster)]
             for cluster in range(result.n_clusters)
-            if result.members(cluster).size > 0
-        ]
+        )
+        return [group for group in groups if group.size > 0]
 
     def _enforce_max_clusters(
         self, data: np.ndarray, candidates: List[CandidateEllipsoid]
@@ -590,8 +610,9 @@ class MMDR:
         pca = fit_pca(union_data)
         d = data.shape[1]
         base = min(max(a.s_dim, b.s_dim), d)
+        dists = projection_distances(union_data, pca, base)
         for s_dim in (base, min(2 * base, d)):
-            mpe = projection_distances(union_data, pca, s_dim).mpe
+            mpe = dists.at(s_dim).mpe
             if mpe <= self.config.max_mpe:
                 return CandidateEllipsoid(
                     member_ids=ids, s_dim=s_dim, pca=pca, mpe_at_s_dim=mpe
@@ -626,7 +647,7 @@ class MMDR:
         d_r = min(self.config.max_dim, candidate.s_dim, d)
         current = projection_distances(group_data, pca, d_r)
         while d_r > 1:
-            lower = projection_distances(group_data, pca, d_r - 1)
+            lower = current.at(d_r - 1)
             if lower.mpe - current.mpe >= self.config.mpe_change_threshold:
                 break
             d_r -= 1

@@ -401,31 +401,46 @@ class ExtendedIDistance(VectorIndex):
         stay immutable, deltas are scored on first contact by a query).
         Returns the subspace index used (-1 for the outlier partition).
 
-        Raises ``ValueError`` for a live or deleted rid, if the point's
-        key offset would not fit the partition's key range (the stretch
-        constant ``c`` is fixed at build time), or if no outlier partition
-        exists to absorb a non-conforming point.
+        Keys must stay inside a partition's ``[i*c, (i+1)*c)`` range (the
+        stretch constant ``c`` is fixed at build time) — except in the
+        last partition, above whose range no other partition lives.  A
+        point whose offset in its subspace's partition would reach ``c``
+        cannot be keyed there, so, like any point that conforms to no
+        subspace (§5), it joins the outlier partition at full
+        dimensionality.  Its residual still counts toward its subspace's
+        live MPE, so the drift check sees it.
+
+        Raises ``ValueError`` for a live or deleted rid, or if the point
+        belongs in the outlier partition and the index has none.
         """
         point = self._prepare_point(point)
         rid = self._check_new_rid(rid)
         sidx, vector, residual = route_point(self.reduced, point, beta)
-        if sidx < 0 and len(self.partitions) == len(self.reduced.subspaces):
-            raise ValueError(
-                "point fits no subspace within beta and the index was "
-                "built without an outlier partition"
+        partition = sidx
+        if sidx >= 0:
+            offset = float(
+                np.linalg.norm(vector - self.partitions[sidx].centroid)
             )
-        best = self.partitions[sidx]
-        offset = float(np.linalg.norm(vector - best.centroid))
-        # Keys must stay inside the partition's [i*c, (i+1)*c) range — except
-        # in the *last* partition (the outlier set, when present), above
-        # whose range no other partition lives.
-        if offset >= self.c and best.index != len(self.partitions) - 1:
-            raise ValueError(
-                f"key offset {offset:.4f} exceeds the partition stretch "
-                f"constant c={self.c:.4f}; rebuild the index to extend "
-                "its key space"
+            if offset >= self.c and sidx != len(self.partitions) - 1:
+                partition = -1
+        if partition < 0:
+            if len(self.partitions) == len(self.reduced.subspaces):
+                reason = (
+                    "point fits no subspace within beta"
+                    if sidx < 0
+                    else f"key offset {offset:.4f} exceeds the partition "
+                    f"stretch constant c={self.c:.4f}"
+                )
+                raise ValueError(
+                    f"{reason} and the index was built without an "
+                    "outlier partition"
+                )
+            vector = point
+            offset = float(
+                np.linalg.norm(vector - self.partitions[-1].centroid)
             )
         self._note_routed_insert(sidx, residual)
+        best = self.partitions[partition]
         with self._wal_txn("insert") as txn:
             self.tree.insert(best.index * self.c + offset, rid)
             best.delta_vectors.append(vector)
@@ -462,7 +477,7 @@ class ExtendedIDistance(VectorIndex):
                         **self._tree_meta(),
                     }
                 )
-        return sidx
+        return partition
 
     def delete(self, rid: int) -> None:
         """Delete a record id: remove its B+-tree entry physically and

@@ -24,6 +24,7 @@ factor once so distance evaluation over ``n`` points is a vectorized
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Literal, Optional, Sequence
 
@@ -107,6 +108,23 @@ class ClusterShape:
     @property
     def dimensionality(self) -> int:
         return self.centroid.shape[0]
+
+    def moved_to(self, centroid: np.ndarray) -> "ClusterShape":
+        """This shape re-centred on ``centroid``, covariance unchanged.
+
+        The factorization depends on the covariance alone, so the copy
+        shares it instead of factoring again: its distances are
+        bit-identical to ``ClusterShape(centroid, self.covariance)``'s.
+        """
+        centroid = np.asarray(centroid, dtype=np.float64)
+        if centroid.shape != self.centroid.shape:
+            raise ValueError(
+                f"centroid shape {centroid.shape} does not match "
+                f"{self.centroid.shape}"
+            )
+        moved = copy.copy(self)
+        moved.centroid = centroid
+        return moved
 
     @classmethod
     def from_points(

@@ -111,13 +111,14 @@ def fit_pca(data: np.ndarray) -> PCAModel:
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the largest-|coordinate| entry is positive."""
+    """Flip eigenvector signs so the largest-|coordinate| entry is positive.
+
+    On a tie in |coordinate| the first such entry is the pivot.
+    """
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    negative = vectors[pivots, np.arange(vectors.shape[1])] < 0
     flipped = vectors.copy()
-    for j in range(flipped.shape[1]):
-        col = flipped[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            flipped[:, j] = -col
+    flipped[:, negative] = -flipped[:, negative]
     return flipped
 
 

@@ -236,10 +236,12 @@ class LDRReducer(Reducer):
                 raise ValueError(f"target_dim must be >= 1, got {target_dim}")
             return min(target_dim, d)
         ceiling = min(self.max_dim, d)
+        # One projection, split again at each candidate d_r.
+        dists = projection_distances(member_data, model, ceiling)
         for d_r in range(1, ceiling + 1):
-            dists = projection_distances(member_data, model, d_r)
+            lost = dists.at(d_r).proj_dist_r
             covered = float(
-                np.count_nonzero(dists.proj_dist_r <= self.max_recon_dist)
+                np.count_nonzero(lost <= self.max_recon_dist)
             ) / max(1, member_data.shape[0])
             if covered >= self.frac_points:
                 return d_r

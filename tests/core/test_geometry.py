@@ -49,6 +49,35 @@ class TestProjectionDistances:
         dists = projection_distances(data, model, 3)
         assert np.allclose(dists.proj_dist_r, 0.0)
 
+    @pytest.mark.parametrize("d, start", [(8, 0), (8, 3), (8, 8), (64, 20)])
+    def test_resplit_matches_fresh_projection(self, rng, d, start):
+        """``at(k)`` reuses the coordinates of one projection; both
+        distances must equal a fresh ``projection_distances`` and the
+        norms of a fresh projection's columns bit for bit, at every ``k``
+        in ``0..d``."""
+        data = rng.normal(0, np.linspace(3, 0.05, d), (300, d))
+        model = fit_pca(data)
+        dists = projection_distances(data, model, start)
+        for k in range(d + 1):
+            got = dists.at(k)
+            fresh = projection_distances(data, model, k)
+            # The split as written out before results kept their
+            # coordinates: one projection per call, split at k.
+            coords = (data - model.mean) @ model.components
+            lost = np.linalg.norm(coords[:, k:], axis=1)
+            kept = np.linalg.norm(coords[:, :k], axis=1)
+            assert (
+                got.proj_dist_r.tobytes()
+                == fresh.proj_dist_r.tobytes()
+                == lost.tobytes()
+            )
+            assert (
+                got.proj_dist_e.tobytes()
+                == fresh.proj_dist_e.tobytes()
+                == kept.tobytes()
+            )
+            assert got.mpe == fresh.mpe == float(lost.mean())
+
     def test_dimension_mismatch_raises(self, rng):
         model = fit_pca(rng.normal(size=(20, 4)))
         with pytest.raises(ValueError):

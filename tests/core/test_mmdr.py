@@ -193,3 +193,55 @@ class TestMergeBehaviour:
             five_cluster_dataset.points, np.random.default_rng(1)
         )
         assert model.n_subspaces >= baseline.n_subspaces
+
+
+def _model_bytes(model):
+    """Every field of a fitted model except the wall-clock fit time."""
+    parts = []
+    for s in model.subspaces:
+        parts += [
+            s.member_ids, s.mean, s.basis, s.covariance, s.projections,
+            np.array([s.subspace_id, s.discovered_at_dim]),
+            np.array([s.mpe, s.ellipticity]),
+        ]
+    parts += [model.outliers.member_ids, model.outliers.points]
+    stats = model.stats
+    return [p.tobytes() for p in parts] + [
+        stats.levels_used,
+        stats.clustering_inner_iterations,
+        stats.clustering_outer_iterations,
+        stats.distance_computations,
+    ]
+
+
+class TestBuildReuse:
+    def test_no_group_is_fitted_twice(self, five_cluster_dataset, monkeypatch):
+        """A child level reuses the PCA its parent fitted on the same rows,
+        so no member-id sequence reaches ``fit_pca`` twice, and the model
+        is the one an unwrapped fit builds.
+
+        A merge may rebuild a set that an earlier level fitted, but it
+        lists the rows in another order, which is another computation
+        (the PCA's bits depend on the row order), so sequences, not sets,
+        are compared.
+        """
+        import repro.core.mmdr as mmdr_module
+
+        points = five_cluster_dataset.points
+        row_id = {row.tobytes(): i for i, row in enumerate(points)}
+        assert len(row_id) == points.shape[0]
+        unwrapped = MMDR().fit(points, np.random.default_rng(3))
+
+        fitted = []
+        real_fit_pca = mmdr_module.fit_pca
+
+        def recording_fit_pca(data):
+            fitted.append(tuple(row_id[row.tobytes()] for row in data))
+            return real_fit_pca(data)
+
+        monkeypatch.setattr(mmdr_module, "fit_pca", recording_fit_pca)
+        model = MMDR().fit(points, np.random.default_rng(3))
+
+        assert max(model.stats.levels_used) > 1  # the recursion ran
+        assert len(fitted) == len(set(fitted))
+        assert _model_bytes(model) == _model_bytes(unwrapped)

@@ -34,6 +34,28 @@ class TestClusterShape:
         with pytest.raises(ValueError):
             ClusterShape(np.zeros(3), np.eye(2))
 
+    def test_moved_shape_matches_fresh_construction(self, rng):
+        """``moved_to`` shares the factorization instead of redoing it; its
+        distances must carry the same bits as a freshly factored shape."""
+        data = rng.normal(size=(400, 5)) @ rng.normal(size=(5, 5))
+        shape = ClusterShape.from_points(data[:150])
+        centroid = data[150:].mean(axis=0)
+        moved = shape.moved_to(centroid)
+        fresh = ClusterShape(centroid=centroid, covariance=shape.covariance)
+        assert moved.log_det == fresh.log_det
+        counters = [CostCounters(), CostCounters()]
+        for norm in ("none", "gaussian", "paper"):
+            got = moved.normalized_distance(data, norm, counters[0])
+            want = fresh.normalized_distance(data, norm, counters[1])
+            assert got.tobytes() == want.tobytes()
+        assert counters[0].snapshot() == counters[1].snapshot()
+        # The original shape is untouched.
+        assert shape.centroid.tobytes() == data[:150].mean(axis=0).tobytes()
+
+    def test_moved_to_rejects_a_wrong_width(self):
+        with pytest.raises(ValueError):
+            ClusterShape(np.zeros(3), np.eye(3)).moved_to(np.zeros(2))
+
     def test_identity_covariance_equals_squared_euclidean(self, rng):
         shape = ClusterShape(np.zeros(3), np.eye(3))
         pts = rng.normal(size=(20, 3))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.linalg.pca import (
+    _canonicalize_signs,
     fit_pca,
     project,
     reconstruct,
@@ -78,6 +79,47 @@ class TestFit:
         with pytest.raises(ValueError):
             model.basis(-1)
         assert model.basis(0).shape == (4, 0)
+
+
+def _canonicalize_by_columns(vectors):
+    """Reference: the column loop ``_canonicalize_signs`` replaced."""
+    flipped = vectors.copy()
+    for j in range(flipped.shape[1]):
+        col = flipped[:, j]
+        pivot = int(np.argmax(np.abs(col)))
+        if col[pivot] < 0:
+            flipped[:, j] = -col
+    return flipped
+
+
+class TestCanonicalizeSigns:
+    def test_matches_column_loop(self):
+        vectors = np.array(
+            [
+                [0.5, -0.5, 0.0, 0.3, -0.0],
+                [-0.5, 0.5, -0.9, -0.3, 0.0],
+                [0.1, 0.2, 0.9, 0.3, -0.0],
+            ]
+        )
+        # Column 0/1: tied |max| with opposite signs, first one wins;
+        # column 2: tie, negative first; column 3: three-way tie;
+        # column 4: all zeros (signed), never flipped.
+        got = _canonicalize_signs(vectors)
+        want = _canonicalize_by_columns(vectors)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        assert np.array_equal(got[:, 0], vectors[:, 0])
+        assert np.array_equal(got[:, 1], -vectors[:, 1])
+        assert np.array_equal(got[:, 2], -vectors[:, 2])
+        assert np.signbit(got[0, 4])  # -0.0 stays, column untouched
+
+    def test_matches_column_loop_on_eigenvectors(self, rng):
+        for d in (1, 2, 7, 64):
+            cov = np.cov(rng.normal(size=(3 * d + 5, d)), rowvar=False)
+            _, vectors = np.linalg.eigh(np.atleast_2d(cov))
+            vectors = vectors[:, ::-1]
+            got = _canonicalize_signs(vectors)
+            assert got.tobytes() == _canonicalize_by_columns(vectors).tobytes()
 
 
 class TestProjectReconstruct:
