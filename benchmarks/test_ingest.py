@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, flat_view, result_fingerprint
+from repro.bench import BenchReport, flat_view
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
 from repro.index import INDEX_SCHEMES
@@ -46,7 +46,6 @@ from repro.ingest import (
 from repro.reduction import MMDRReducer
 from repro.serve import Router, RouterConfig, ShardPlanner, Supervisor
 from repro.serve.planner import mode_for_scheme
-from repro.serve.router import canonicalize_rows
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = REPO_ROOT / "benchmarks" / "out"
@@ -203,13 +202,10 @@ def test_rolling_swap_under_load_and_report(
     new_points = np.stack([live[r] for r in sorted(live)])
     new_reduced = reduce_fn(new_points)
 
-    def fp(ids, dists):
-        return result_fingerprint(*canonicalize_rows(ids, dists))
-
     res = INDEX_SCHEMES[scheme](old_reduced).knn_batch(queries, K)
-    old_fp = fp(res.ids, res.distances)
+    old_fp = batch_fingerprint(res.ids, res.distances)
     res = INDEX_SCHEMES[scheme](new_reduced).knn_batch(queries, K)
-    new_fp = fp(res.ids, res.distances)
+    new_fp = batch_fingerprint(res.ids, res.distances)
     assert old_fp != new_fp, "swap would be vacuous on this workload"
 
     plan = ShardPlanner(N_SHARDS, mode_for_scheme(scheme)).plan(old_reduced)
@@ -230,7 +226,11 @@ def test_rolling_swap_under_load_and_report(
         if delay > 0:
             time.sleep(delay)
         result = router.knn(queries, K)
-        got = None if result.partial else fp(result.ids, result.distances)
+        got = (
+            None
+            if result.partial
+            else batch_fingerprint(result.ids, result.distances)
+        )
         with lock:
             if result.partial:
                 partials.append(result.missing_shards)
@@ -254,7 +254,7 @@ def test_rolling_swap_under_load_and_report(
         assert swap.shards_swapped == tuple(supervisor.shard_ids)
         final = router.knn(queries, K)
         assert not final.partial
-        final_fp = fp(final.ids, final.distances)
+        final_fp = batch_fingerprint(final.ids, final.distances)
         swaps = router.metrics.counter("serve.generation_swaps").value
     finally:
         router.close()

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.bench import BenchReport, flat_view, result_fingerprint
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
@@ -34,6 +35,9 @@ from repro.storage.wal import WriteAheadLog
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+
+# The only 10k-point checkpoint + recover() leg: gated in CI's smoke step.
+pytestmark = pytest.mark.crash_smoke
 
 
 def _fingerprint_knn(index, workload):

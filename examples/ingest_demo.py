@@ -17,7 +17,7 @@ one atomic ``CURRENT`` pointer replace (queries never block).
 
 It then runs a crash drill: a forked child repeats the workload and is
 SIGKILLed in the middle of the swap sequence (an armed
-:class:`~repro.ingest.SwapCrashPoint` marks the spot); the parent
+:class:`~repro.storage.CrashPoint` marks the spot); the parent
 reopens the store and prints the recovery report, showing a landing on
 exactly one generation — old or new, never a hybrid.  Without ``fork``
 the drill degrades to an in-process simulated crash.
@@ -33,13 +33,9 @@ import numpy as np
 from repro.data import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
 from repro.index import INDEX_SCHEMES
-from repro.ingest import (
-    IngestPipeline,
-    SwapCrashPoint,
-    batch_fingerprint,
-)
-from repro.ingest.generation import CrashError
+from repro.ingest import IngestPipeline, batch_fingerprint
 from repro.reduction import MMDRReducer
+from repro.storage import CrashError, CrashPoint
 
 
 def drift_stream(points, reduce_fn, n_inserts, rng):
@@ -101,9 +97,7 @@ def _build_and_crash(root, points, ops, reduce_fn, scheme, at_write):
     )
     for op in ops:
         pipe.apply(op)
-    pipe.store.crashpoint = SwapCrashPoint(
-        pipe.store.physical_writes + at_write, "after"
-    )
+    pipe.store.clock.arm(CrashPoint(at_write, "after"))
     try:
         pipe.reorg()
     except CrashError:

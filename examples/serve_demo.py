@@ -21,6 +21,7 @@ import argparse
 
 import numpy as np
 
+from repro.bench.fingerprint import canonicalize_rows
 from repro.data import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
 from repro.index import INDEX_SCHEMES
@@ -36,7 +37,6 @@ from repro.serve import (
     WorkerFaultSpec,
 )
 from repro.serve.planner import mode_for_scheme
-from repro.serve.router import canonicalize_rows
 
 
 def main() -> None:

@@ -33,7 +33,11 @@ from .compare import (
     compare_reports,
     format_table,
 )
-from .fingerprint import result_fingerprint
+from .fingerprint import (
+    batch_fingerprint,
+    canonicalize_rows,
+    result_fingerprint,
+)
 from .report import (
     SCHEMA_VERSION,
     BenchReport,
@@ -55,6 +59,8 @@ __all__ = [
     "MetricDelta",
     "ToleranceBand",
     "WorkloadSpec",
+    "batch_fingerprint",
+    "canonicalize_rows",
     "compare_reports",
     "flat_view",
     "format_table",

@@ -17,15 +17,21 @@ compared across execution modes.  Two requirements shape it:
 NaN distances (the invalid-query sentinel rows of
 :class:`~repro.index.base.BatchKNNResult`) are mapped to a fixed sentinel
 bucket so they fingerprint deterministically too.
+
+Where two legal answers may order distance ties differently (a
+scatter-gather merge against one node, a rebuilt generation against a
+fresh build), :func:`batch_fingerprint` hashes the rows in the canonical
+``(distance, id)`` order of :func:`canonicalize_rows` instead.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["result_fingerprint"]
+__all__ = ["batch_fingerprint", "canonicalize_rows", "result_fingerprint"]
 
 #: Default distance quantum: answers equal up to 1e-9 hash identically.
 DEFAULT_QUANTUM = 1e-9
@@ -71,3 +77,34 @@ def result_fingerprint(
     digest.update(ids.tobytes())
     digest.update(np.ascontiguousarray(quantized).tobytes())
     return "sha256:" + digest.hexdigest()
+
+
+def canonicalize_rows(
+    ids: np.ndarray, distances: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-order each row of a ``(Q, k)`` answer by ``(distance, id)``.
+
+    The serve router merges shard answers in this order, and every
+    order-insensitive comparison fingerprints under it, so distance ties
+    cannot produce spurious mismatches.  NaN distances (invalid rows)
+    sort last, and their ids are all ``-1``, so invalid rows stay fixed
+    points.
+    """
+    order = np.lexsort((ids, distances), axis=-1)
+    return (
+        np.take_along_axis(ids, order, axis=1),
+        np.take_along_axis(distances, order, axis=1),
+    )
+
+
+def batch_fingerprint(ids: np.ndarray, distances: np.ndarray) -> str:
+    """Order-insensitive fingerprint of a batch-KNN answer: each row is
+    put in :func:`canonicalize_rows` order before hashing, so legal tie
+    reorderings collapse to one digest.  A single ``(k,)`` row is treated
+    as a one-query batch."""
+    return result_fingerprint(
+        *canonicalize_rows(
+            np.atleast_2d(np.asarray(ids)),
+            np.atleast_2d(np.asarray(distances)),
+        )
+    )

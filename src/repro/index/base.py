@@ -32,7 +32,7 @@ from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..storage.buffer import BufferPool
 from ..storage.faults import CrashPoint, FaultPlan, FaultyPageStore
 from ..storage.metrics import CostCounters, CostSnapshot
-from ..storage.pager import PageStore
+from ..storage.pager import PageStore, StoreWrapper
 from ..storage.wal import WALPageStore, WriteAheadLog
 
 __all__ = [
@@ -418,6 +418,16 @@ class VectorIndex(ABC):
         for hybrid in getattr(self, "trees", []):
             hybrid.store = store
 
+    def _check_unwrapped(self) -> None:
+        """Refuse to stack store wrappers: ``disable_wal`` and
+        ``disable_faults`` each peel exactly one known layer, so a second
+        layer would hide the first from them."""
+        if isinstance(self.store, StoreWrapper):
+            raise RuntimeError(
+                f"the index's store is already wrapped "
+                f"({type(self.store).__name__}); disable that layer first"
+            )
+
     def enable_faults(
         self,
         plan: FaultPlan,
@@ -429,14 +439,11 @@ class VectorIndex(ABC):
         Hybrid trees) is repointed at the wrapper, so all subsequent page
         traffic flows through the :class:`~repro.storage.faults.FaultPlan`.
         Returns the wrapper; its ``fault_metrics`` registry carries the
-        ``faults.injected*`` / ``faults.retried`` counters.  Calling this
-        on an already-faulty index layers a second plan — usually a test
-        bug — so it raises instead.
+        ``faults.injected*`` / ``faults.retried`` counters.  A store that
+        is already wrapped (a second plan, or the WAL) is refused — see
+        :meth:`_check_unwrapped`.
         """
-        if isinstance(self.store, FaultyPageStore):
-            raise RuntimeError(
-                "fault injection is already enabled on this index"
-            )
+        self._check_unwrapped()
         faulty = FaultyPageStore(self.store, plan, metrics=metrics)
         self._repoint_store(faulty)
         return faulty
@@ -469,11 +476,7 @@ class VectorIndex(ABC):
         Layering rules: WAL-over-faults or faults-over-WAL is not
         supported — disable one before enabling the other.
         """
-        if isinstance(self.store, (WALPageStore, FaultyPageStore)):
-            raise RuntimeError(
-                "the index's store is already wrapped (WAL or fault "
-                "injection); disable that layer first"
-            )
+        self._check_unwrapped()
         if not isinstance(wal, WriteAheadLog):
             wal = WriteAheadLog(wal)
         wal_store = WALPageStore(self.store, wal, crashpoint=crashpoint)

@@ -29,11 +29,11 @@ respawning it from the new generation while the degrade ladder routes
 around it.
 """
 
+from ..bench.fingerprint import batch_fingerprint
 from .generation import (
     GenerationError,
     GenerationMissingError,
     GenerationStore,
-    SwapCrashPoint,
 )
 from .pipeline import (
     DriftTrigger,
@@ -49,7 +49,6 @@ from .pipeline import (
 from .sweep import (
     SwapSweepOutcome,
     SwapSweepReport,
-    batch_fingerprint,
     swap_crash_sweep,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "IngestThresholds",
     "OpLog",
     "ReorgReport",
-    "SwapCrashPoint",
     "SwapSweepOutcome",
     "SwapSweepReport",
     "batch_fingerprint",

@@ -27,27 +27,30 @@ The **swap protocol** (DESIGN.md §15) is build → swap → truncate:
    :meth:`collect_garbage` to finish on the next open.
 
 Every physical write of that sequence funnels through :meth:`guarded`,
-which counts it on ``physical_writes`` and consults an armed
-:class:`SwapCrashPoint` — the same deterministic-sweep idiom as the
-page-level :class:`~repro.storage.faults.CrashPoint`, lifted to file
-granularity.  ``repro.ingest.sweep`` uses it to prove that a crash at
-*any* write recovers to exactly the old or the new generation.
+which runs it on the store's :class:`~repro.storage.faults.WriteClock` —
+the same clock and :class:`~repro.storage.faults.CrashPoint` the page WAL
+uses, here at file granularity.  ``repro.ingest.sweep`` arms it to prove
+that a crash at *any* write recovers to exactly the old or the new
+generation.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zlib
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 from ..index.base import VectorIndex
-from ..persist.snapshot import save_index
+from ..persist.snapshot import (
+    _canonical_manifest_bytes,
+    _crc32,
+    save_index,
+)
 from ..recovery.recover import RecoveryReport, recover
-from ..storage.faults import CrashError
+from ..storage.faults import WriteClock
 from ..storage.wal import WriteAheadLog
 
 __all__ = [
@@ -61,7 +64,6 @@ __all__ = [
     "GenerationError",
     "GenerationMissingError",
     "GenerationStore",
-    "SwapCrashPoint",
 ]
 
 CURRENT_NAME = "CURRENT"
@@ -84,44 +86,6 @@ class GenerationMissingError(GenerationError):
     directory it names is gone) — nothing to load."""
 
 
-class SwapCrashPoint:
-    """Deterministic crash schedule over a build-swap-truncate sequence.
-
-    ``at_write`` is 1-based and counts every physical file operation the
-    sequence performs through :meth:`GenerationStore.guarded`; ``phase``
-    selects whether the power dies just *before* or just *after* that
-    operation takes effect, so a sweep over ``(phase, at_write)`` covers
-    both torn sides of every write.
-    """
-
-    __slots__ = ("at_write", "phase", "fired")
-
-    PHASES = ("before", "after")
-
-    def __init__(self, at_write: int, phase: str = "after") -> None:
-        if at_write < 1:
-            raise ValueError(f"at_write must be >= 1, got {at_write}")
-        if phase not in self.PHASES:
-            raise ValueError(
-                f"phase must be one of {self.PHASES}, got {phase!r}"
-            )
-        self.at_write = int(at_write)
-        self.phase = phase
-        self.fired = False
-
-    def __repr__(self) -> str:
-        return f"SwapCrashPoint(at_write={self.at_write}, phase={self.phase})"
-
-
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _canonical_manifest_bytes(manifest: dict) -> bytes:
-    body = {k: v for k, v in manifest.items() if k != "manifest_crc32"}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-
-
 class GenerationStore:
     """Owns the generational directory layout and the swap protocol.
 
@@ -131,37 +95,16 @@ class GenerationStore:
     is the :class:`~repro.ingest.pipeline.IngestPipeline`'s business.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        crashpoint: Optional[SwapCrashPoint] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.crashpoint = crashpoint
-        #: Physical file operations performed through :meth:`guarded`
-        #: since construction (the crashpoint's clock).
-        self.physical_writes = 0
-
-    # -- crash-guarded physical writes ----------------------------------
-
-    def _crash_if(self, phase: str, write_no: int, label: str) -> None:
-        cp = self.crashpoint
-        if cp is not None and cp.phase == phase and write_no == cp.at_write:
-            cp.fired = True
-            raise CrashError(
-                f"simulated crash at swap write {write_no} ({phase} "
-                f"{label})"
-            )
+        #: Counts the physical file operations run through
+        #: :meth:`guarded`; crash sweeps arm their crashpoint here.
+        self.clock = WriteClock()
 
     def guarded(self, label: str, action: Callable[[], _T]) -> _T:
-        """Run one physical file operation under the crashpoint clock."""
-        self.physical_writes += 1
-        n = self.physical_writes
-        self._crash_if("before", n, label)
-        result = action()
-        self._crash_if("after", n, label)
-        return result
+        """Run one physical file operation on :attr:`clock`."""
+        return self.clock.guarded(label, action)
 
     # -- layout ----------------------------------------------------------
 

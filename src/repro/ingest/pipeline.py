@@ -49,19 +49,11 @@ import numpy as np
 from ..index import INDEX_SCHEMES
 from ..index.base import VectorIndex
 from ..obs.health import HealthSampler, drift_scores, sample_gauges
-from ..persist.snapshot import save_index
+from ..recovery.recover import checkpoint
 from ..reduction.base import ReducedDataset
 from ..storage.mmap_store import MmapPageStore
-from ..storage.wal import (
-    CHECKPOINT,
-    COMMIT,
-    WriteAheadLog,
-    _encode,
-)
-from .generation import (
-    GenerationStore,
-    SwapCrashPoint,
-)
+from ..storage.wal import WriteAheadLog, _encode
+from .generation import SNAPSHOT_NAME, WAL_NAME, GenerationStore
 
 __all__ = [
     "DriftTrigger",
@@ -315,7 +307,6 @@ class IngestPipeline:
         thresholds: Optional[IngestThresholds] = None,
         auto_reorg: bool = True,
         page_store: str = "memory",
-        crashpoint: Optional[SwapCrashPoint] = None,
     ) -> Tuple["IngestPipeline", IngestOpenReport]:
         """Bulk-build generation 1 from ``points`` (global rids
         ``0..n-1``), publish it, and boot through the recovery path —
@@ -325,7 +316,7 @@ class IngestPipeline:
         one."""
         points = np.ascontiguousarray(points, dtype=np.float64)
         vectors = {i: points[i] for i in range(points.shape[0])}
-        store = GenerationStore(root, crashpoint=None)
+        store = GenerationStore(root)
         if store.current_path.exists() or store.oplog_path.exists():
             raise IngestError(
                 f"{store.root} already holds an ingestion pipeline; "
@@ -347,7 +338,6 @@ class IngestPipeline:
             thresholds=thresholds,
             auto_reorg=auto_reorg,
             page_store=page_store,
-            crashpoint=crashpoint,
         )
 
     @classmethod
@@ -360,8 +350,6 @@ class IngestPipeline:
         thresholds: Optional[IngestThresholds] = None,
         auto_reorg: bool = True,
         page_store: str = "memory",
-        crashpoint: Optional[SwapCrashPoint] = None,
-        replay_pending: bool = True,
     ) -> Tuple["IngestPipeline", IngestOpenReport]:
         """Recover the published generation and resume the stream.
 
@@ -372,7 +360,7 @@ class IngestPipeline:
         index's committed watermark (the at-least-once redelivery of an op
         whose index commit the crash ate).
         """
-        store = GenerationStore(root, crashpoint=crashpoint)
+        store = GenerationStore(root)
         collected = store.collect_garbage()
         index, points, rid_map, manifest, recovery = store.load_current()
 
@@ -397,23 +385,11 @@ class IngestPipeline:
 
         # The index's committed watermark: the generation WAL's last
         # CHECKPOINT carries the oplog seq it captured; every COMMIT after
-        # it is exactly one op.
-        gdir = store.gen_dir(pipeline.generation)
-        records, _, _ = WriteAheadLog.scan(gdir / "wal.log")
-        base_seq = int(manifest["ingest_seq"])
-        last_ckpt_lsn = 0
-        for record in records:
-            if record.rtype == CHECKPOINT:
-                base_seq = int(
-                    record.payload.get("ingest_seq", base_seq)
-                )
-                last_ckpt_lsn = record.lsn
-        commits_after = sum(
-            1
-            for r in records
-            if r.rtype == COMMIT and r.lsn > last_ckpt_lsn
+        # it (recovery counted them) is exactly one op.
+        base_seq = recovery.checkpoint_payload.get(
+            "ingest_seq", manifest["ingest_seq"]
         )
-        committed_seq = base_seq + commits_after
+        committed_seq = int(base_seq) + recovery.committed_txns
 
         oplog = OpLog(store.oplog_path)
         dropped = oplog.drop_through(int(manifest["ingest_seq"]))
@@ -431,20 +407,18 @@ class IngestPipeline:
             else:
                 pending.append((seq, op))
 
-        index.enable_wal(WriteAheadLog(gdir / "wal.log"))
-
-        replayed = 0
-        if replay_pending:
-            for seq, op in pending:
-                pipeline._apply_to_index(op)
-                pipeline._bookkeep(op)
-                pipeline.applied_seq = seq
-                replayed += 1
+        index.enable_wal(
+            WriteAheadLog(store.gen_dir(pipeline.generation) / WAL_NAME)
+        )
+        for seq, op in pending:
+            pipeline._apply_to_index(op)
+            pipeline._bookkeep(op)
+            pipeline.applied_seq = seq
 
         report = IngestOpenReport(
             generation=pipeline.generation,
             committed_seq=committed_seq,
-            ops_replayed=replayed,
+            ops_replayed=len(pending),
             oplog_dropped=dropped,
             generations_collected=tuple(collected),
             recovery_summary=recovery.summary(),
@@ -614,7 +588,7 @@ class IngestPipeline:
             self._vectors, self.reduce_fn, self.scheme, store_factory=factory
         )
         new_generation = self.generation + 1
-        writes_before = self.store.physical_writes
+        writes_before = self.store.clock.writes
         self.store.install(
             new_index,
             matrix,
@@ -639,8 +613,9 @@ class IngestPipeline:
         self.store.truncate(keep=new_generation)
 
         # In-memory handover.
-        gdir = self.store.gen_dir(new_generation)
-        new_index.enable_wal(WriteAheadLog(gdir / "wal.log"))
+        new_index.enable_wal(
+            WriteAheadLog(self.store.gen_dir(new_generation) / WAL_NAME)
+        )
         self.index = new_index
         self.generation = new_generation
         self._rid_of_local = [int(r) for r in rid_map]
@@ -655,7 +630,7 @@ class IngestPipeline:
             old_generation=new_generation - 1,
             new_generation=new_generation,
             n_points=int(rid_map.size),
-            swap_writes=self.store.physical_writes - writes_before,
+            swap_writes=self.store.clock.writes - writes_before,
             reasons=trigger.reasons if trigger is not None else (),
             drift_before=drift_before,
             drift_after=drift_after,
@@ -671,19 +646,9 @@ class IngestPipeline:
         can place the oplog suffix correctly."""
         if self.index is None:
             raise IngestError("pipeline is not open")
-        gdir = self.store.gen_dir(self.generation)
-        wal_store = self.index.disable_wal()
-        if wal_store is None:
-            raise IngestError("pipeline index has no WAL attached")
-        try:
-            save_index(
-                self.index, gdir / "ckpt", generation=self.generation
-            )
-        finally:
-            self.index.reattach_wal(wal_store)
-        return wal_store.wal.checkpoint(
-            gdir / "ckpt",
-            truncate=True,
+        return checkpoint(
+            self.index,
+            self.store.gen_dir(self.generation) / SNAPSHOT_NAME,
             generation=self.generation,
             extra={"ingest_seq": self.applied_seq},
         )

@@ -12,9 +12,9 @@ matrix + new rid map, half-deleted generation directory) would produce.
 learn the two legal fingerprints and the number of physical writes in the
 sequence, then replays it once per ``(phase, at_write)`` crash schedule —
 both torn sides of every write — recovering and fingerprinting each time.
-This mirrors :mod:`repro.recovery.harness`'s per-operation WAL sweep one
-level up the stack: that one proves single mutations atomic, this one
-proves whole-generation swaps atomic.
+The schedules come from :func:`repro.recovery.harness.sweep_schedules`,
+which the per-operation WAL sweep uses too: that one proves single
+mutations atomic, this one proves whole-generation swaps atomic.
 """
 
 from __future__ import annotations
@@ -22,35 +22,21 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..bench.fingerprint import result_fingerprint
+from ..bench.fingerprint import batch_fingerprint
+from ..recovery.harness import sweep_schedules
 from ..reduction.base import ReducedDataset
-from ..storage.faults import CrashError
-from .generation import SwapCrashPoint
+from ..storage.faults import CrashError, CrashPoint
 from .pipeline import IngestPipeline, IngestThresholds, Op
 
 __all__ = [
     "SwapSweepOutcome",
     "SwapSweepReport",
-    "batch_fingerprint",
     "swap_crash_sweep",
 ]
-
-
-def batch_fingerprint(ids: np.ndarray, distances: np.ndarray) -> str:
-    """Order-insensitive fingerprint of a batch-KNN answer: each row is
-    canonicalized by ``(distance, id)`` before hashing, so legal tie
-    reorderings collapse to one digest (same canon as the serve router)."""
-    ids = np.atleast_2d(np.asarray(ids))
-    distances = np.atleast_2d(np.asarray(distances))
-    order = np.lexsort((ids, distances), axis=-1)
-    return result_fingerprint(
-        np.take_along_axis(ids, order, axis=-1),
-        np.take_along_axis(distances, order, axis=-1),
-    )
 
 
 @dataclass(frozen=True)
@@ -162,27 +148,14 @@ def swap_crash_sweep(
         post_fp = batch_fingerprint(post.ids, post.distances)
     finally:
         pipeline.close()
-    swap_writes = reorg.swap_writes
 
-    schedules: List[Tuple[str, int]] = [
-        (phase, w)
-        for phase in SwapCrashPoint.PHASES
-        for w in range(1, swap_writes + 1)
-    ]
-    if max_schedules is not None and len(schedules) > max_schedules:
-        stride = max(1, len(schedules) // max_schedules)
-        schedules = schedules[::stride]
-
-    outcomes: List[SwapSweepOutcome] = []
-    for phase, at_write in schedules:
+    def run(crashpoint: CrashPoint) -> SwapSweepOutcome:
+        phase, at_write = crashpoint.phase, crashpoint.at_write
         run_dir = root / f"crash-{phase}-{at_write:03d}"
         pipeline = _run_workload(
             run_dir, points, ops, reduce_fn, scheme, page_store
         )
-        crashpoint = SwapCrashPoint(
-            pipeline.store.physical_writes + at_write, phase
-        )
-        pipeline.store.crashpoint = crashpoint
+        pipeline.store.clock.arm(crashpoint)
         try:
             pipeline.reorg()
         except CrashError:
@@ -193,7 +166,6 @@ def swap_crash_sweep(
             )
         finally:
             pipeline.close()
-        assert crashpoint.fired
 
         recovered, report = IngestPipeline.open(
             run_dir,
@@ -229,20 +201,19 @@ def swap_crash_sweep(
                 f"fingerprint {fp} != expected {expected_fp} "
                 f"(pre {pre_fp}, post {post_fp})"
             )
-        outcomes.append(
-            SwapSweepOutcome(
-                phase=phase,
-                at_write=at_write,
-                recovered_to=recovered_to,
-                generation=report.generation,
-                ops_replayed=report.ops_replayed,
-            )
-        )
         shutil.rmtree(run_dir, ignore_errors=True)
+        return SwapSweepOutcome(
+            phase=phase,
+            at_write=at_write,
+            recovered_to=recovered_to,
+            generation=report.generation,
+            ops_replayed=report.ops_replayed,
+        )
 
+    outcomes = sweep_schedules(reorg.swap_writes, run, max_schedules)
     return SwapSweepReport(
         scheme=scheme,
-        swap_writes=swap_writes,
+        swap_writes=reorg.swap_writes,
         pre_fingerprint=pre_fp,
         post_fingerprint=post_fp,
         outcomes=tuple(outcomes),

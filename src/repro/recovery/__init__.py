@@ -22,6 +22,7 @@ from .harness import (
     crash_sweep,
     make_update_workload,
     run_crashpoint,
+    sweep_schedules,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "make_update_workload",
     "recover",
     "run_crashpoint",
+    "sweep_schedules",
 ]

@@ -1,13 +1,18 @@
 """Deterministic crashpoint harness (DESIGN.md §10).
 
-Proves the durability contract end to end: for every physical page write
-an update workload issues, simulate a crash at exactly that write
-(:class:`~repro.storage.faults.CrashPoint`), recover from WAL + last
-checkpoint, validate the recovered B+-tree's structure, and check that
-KNN answers are **bit-identical** to a freshly built index over the
-surviving logical state (the committed prefix of the workload replayed
-through the plain ``insert``/``delete`` API — both paths are
+Proves the durability contract end to end: for both sides of every
+physical page write an update workload issues, simulate a crash at
+exactly that point (:class:`~repro.storage.faults.CrashPoint`), recover
+from WAL + last checkpoint, validate the recovered B+-tree's structure,
+and check that KNN answers are **bit-identical** to a freshly built index
+over the surviving logical state (the committed prefix of the workload
+replayed through the plain ``insert``/``delete`` API — both paths are
 deterministic, so equality is exact, not approximate).
+
+:func:`sweep_schedules` is the one schedule loop: this module's
+:func:`crash_sweep` and the generational swap sweep
+(:func:`repro.ingest.sweep.swap_crash_sweep`) both enumerate their crash
+schedules through it and keep only their own verification.
 """
 
 from __future__ import annotations
@@ -15,12 +20,12 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
 from ..index.base import VectorIndex
-from ..storage.faults import CrashError, CrashPoint
+from ..storage.faults import PHASES, CrashError, CrashPoint
 from ..storage.wal import WriteAheadLog
 from .recover import RecoveryReport, checkpoint, recover
 
@@ -31,7 +36,10 @@ __all__ = [
     "crash_sweep",
     "make_update_workload",
     "run_crashpoint",
+    "sweep_schedules",
 ]
+
+_T = TypeVar("_T")
 
 #: One workload op: ("insert", point, rid, beta) or ("delete", rid).
 Op = Tuple
@@ -125,7 +133,7 @@ def count_update_writes(
     for op in ops:
         apply_op(index, op)
     wal.close()
-    return wal_store.physical_writes
+    return wal_store.clock.writes
 
 
 def run_crashpoint(
@@ -220,32 +228,43 @@ def run_crashpoint(
     )
 
 
+def sweep_schedules(
+    n_writes: int,
+    run: Callable[[CrashPoint], _T],
+    max_schedules: Optional[int] = None,
+) -> List[_T]:
+    """Call ``run`` once per crash schedule and collect the results.
+
+    The schedules are both phases of every write ``1..n_writes``, in
+    :data:`~repro.storage.faults.PHASES` order (all ``"before"`` points,
+    then all ``"after"`` points).  ``max_schedules`` subsamples that list
+    evenly — every ``len // max_schedules``-th schedule — for quick smoke
+    runs; ``None`` runs them all.
+    """
+    schedules = [
+        CrashPoint(at_write=w, phase=phase)
+        for phase in PHASES
+        for w in range(1, n_writes + 1)
+    ]
+    if max_schedules is not None and len(schedules) > max_schedules:
+        stride = max(1, len(schedules) // max_schedules)
+        schedules = schedules[::stride]
+    return [run(crashpoint) for crashpoint in schedules]
+
+
 def crash_sweep(
     build_index: Callable[[], VectorIndex],
     ops: Sequence[Op],
     workdir: Union[str, Path],
     queries: np.ndarray,
     k: int,
-    phases: Sequence[str] = ("after_log",),
-    crashpoints: Optional[Sequence[int]] = None,
 ) -> List[CrashOutcome]:
-    """Sweep crashpoints (default: every physical write the workload
-    issues) and return one :class:`CrashOutcome` per schedule."""
+    """Crash on both sides of every physical write the workload issues
+    and return one :class:`CrashOutcome` per schedule."""
     workdir = Path(workdir)
-    if crashpoints is None:
-        total = count_update_writes(build_index, ops, workdir)
-        crashpoints = range(1, total + 1)
-    outcomes: List[CrashOutcome] = []
-    for phase in phases:
-        for n in crashpoints:
-            outcomes.append(
-                run_crashpoint(
-                    build_index,
-                    ops,
-                    workdir,
-                    CrashPoint(at_write=int(n), phase=phase),
-                    queries,
-                    k,
-                )
-            )
-    return outcomes
+    return sweep_schedules(
+        count_update_writes(build_index, ops, workdir),
+        lambda crashpoint: run_crashpoint(
+            build_index, ops, workdir, crashpoint, queries, k
+        ),
+    )

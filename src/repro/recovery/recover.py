@@ -77,6 +77,9 @@ class RecoveryReport:
     pages_freed: int
     metas_applied: int
     committed_kinds: List[str] = field(default_factory=list)
+    #: Payload of the CHECKPOINT record recovery started from (empty when
+    #: the log had none), including any caller ``extra`` watermarks.
+    checkpoint_payload: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         return (
@@ -92,6 +95,7 @@ def checkpoint(
     index: VectorIndex,
     snapshot_path: Union[str, Path],
     generation: Optional[int] = None,
+    extra: Optional[dict] = None,
 ) -> int:
     """Snapshot a WAL-protected index and truncate its log.
 
@@ -102,7 +106,10 @@ def checkpoint(
 
     ``generation`` stamps both the snapshot manifest and the CHECKPOINT
     record, which is what lets :func:`recover` refuse a mixed
-    snapshot/log pair with :class:`GenerationMismatchError`.
+    snapshot/log pair with :class:`GenerationMismatchError`.  ``extra``
+    rides along in the CHECKPOINT payload
+    (:meth:`~repro.storage.wal.WriteAheadLog.checkpoint`) and comes back
+    as :attr:`RecoveryReport.checkpoint_payload`.
     """
     wal_store = index.disable_wal()
     if wal_store is None:
@@ -114,7 +121,7 @@ def checkpoint(
     finally:
         index.reattach_wal(wal_store)
     return wal_store.wal.checkpoint(
-        snapshot_path, truncate=True, generation=generation
+        snapshot_path, truncate=True, generation=generation, extra=extra
     )
 
 
@@ -246,5 +253,6 @@ def recover(
         pages_freed=pages_freed,
         metas_applied=metas_applied,
         committed_kinds=kinds,
+        checkpoint_payload=dict(ckpt.payload) if ckpt is not None else {},
     )
     return index, report

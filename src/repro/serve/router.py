@@ -10,11 +10,10 @@ index.
 Each shard request climbs a ladder, cheapest rung first:
 
 1. **deadline** — every attempt has ``deadline_s`` to produce a reply;
-2. **hedge** — after a latency threshold (fixed ``hedge_after_s`` or an
-   observed quantile of recent shard latencies) a duplicate request is
-   sent on the same channel; first reply wins, the straggler is drained
-   as a stale response.  Covers dropped replies without waiting out the
-   full deadline;
+2. **hedge** — after ``hedge_after_s`` without a reply a duplicate
+   request is sent on the same channel; first reply wins, the straggler
+   is drained as a stale response.  Covers dropped replies without
+   waiting out the full deadline;
 3. **retry with backoff** — up to ``max_attempts`` fresh attempts, each
    with a new request id, backing off exponentially.  Garbled frames are
    retried on the same (still-aligned) connection;
@@ -27,8 +26,9 @@ Each shard request climbs a ladder, cheapest rung first:
    silently shrinking the answer.
 
 A per-shard :class:`~repro.serve.breaker.CircuitBreaker` is fed by both
-request failures and :meth:`check_health` heartbeats; while OPEN, the
-shard is skipped instantly instead of costing every request a deadline.
+request failures and :meth:`check_health` heartbeats (each ping waits
+:data:`HEALTH_TIMEOUT_S` for its reply); while OPEN, the shard is skipped
+instantly instead of costing every request a deadline.
 Admission control bounds concurrent :meth:`knn` calls — beyond
 ``max_inflight`` the call is shed with a typed :class:`OverloadError`
 (load must fail fast at the door, not queue without bound).
@@ -46,12 +46,13 @@ import itertools
 import socket
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..bench.fingerprint import canonicalize_rows
 from ..index.base import InvalidQueryError, QueryStats
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, ensure_tracer
@@ -73,8 +74,10 @@ __all__ = [
     "RouterResult",
     "Router",
     "merge_topk",
-    "canonicalize_rows",
 ]
+
+#: Reply deadline for heartbeat pings (seconds).
+HEALTH_TIMEOUT_S = 1.0
 
 
 class OverloadError(ServeError):
@@ -107,20 +110,14 @@ class RouterConfig:
     #: Backoff before the 2nd attempt; doubles each further attempt.
     backoff_s: float = 0.02
     #: Send a hedged duplicate after this many seconds without a reply;
-    #: ``None`` disables fixed-delay hedging.
+    #: ``None`` disables hedging.
     hedge_after_s: Optional[float] = None
-    #: When set, hedge after this quantile of the shard's recent observed
-    #: latencies (once >= 20 samples exist); overrides ``hedge_after_s``
-    #: when enough history is available.
-    hedge_quantile: Optional[float] = None
     #: Consecutive failures that trip a shard's breaker OPEN.
     breaker_failure_threshold: int = 3
     #: Seconds an OPEN breaker waits before admitting a half-open probe.
     breaker_cooldown_s: float = 5.0
     #: Concurrent ``knn`` calls admitted; further calls shed.
     max_inflight: int = 32
-    #: Reply deadline for heartbeat pings.
-    health_timeout_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.deadline_s <= 0:
@@ -132,12 +129,6 @@ class RouterConfig:
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
-        if self.hedge_quantile is not None and not (
-            0.0 < self.hedge_quantile < 1.0
-        ):
-            raise ValueError(
-                f"hedge_quantile must be in (0, 1), got {self.hedge_quantile}"
             )
 
 
@@ -175,21 +166,6 @@ class RollingSwapReport:
 
     shards_swapped: Tuple[int, ...]
     wall_seconds: float
-
-
-def canonicalize_rows(
-    ids: np.ndarray, distances: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-order each row by ``(distance, id)`` — the canonical answer
-    order both the router's merge and the single-node comparison are
-    fingerprinted under, so distance ties cannot produce spurious
-    mismatches.  NaN distances (invalid rows) sort last, and their ids
-    are all ``-1``, so invalid rows stay fixed points."""
-    order = np.lexsort((ids, distances), axis=-1)
-    return (
-        np.take_along_axis(ids, order, axis=1),
-        np.take_along_axis(distances, order, axis=1),
-    )
 
 
 def merge_topk(
@@ -237,12 +213,14 @@ def _sum_stats(
 
 
 class _ShardChannel:
-    """Router-side per-shard state: lock, breaker, latency history."""
+    """Router-side per-shard state: lock, breaker, generation."""
 
     def __init__(self, shard_id: int, router: "Router") -> None:
         self.shard_id = shard_id
         self.lock = threading.Lock()
-        self.latencies: deque = deque(maxlen=256)
+        #: The rolling swap that built this shard's worker (0: none yet).
+        #: Set only while :meth:`Router.rolling_swap` holds ``lock``.
+        self.generation = 0
 
         def on_transition(old: BreakerState, new: BreakerState) -> None:
             router.metrics.counter(f"serve.breaker.{new.value}").inc()
@@ -254,13 +232,6 @@ class _ShardChannel:
             clock=router._clock,
             on_transition=on_transition,
         )
-
-    def hedge_delay(self, config: RouterConfig) -> Optional[float]:
-        if config.hedge_quantile is not None and len(self.latencies) >= 20:
-            ordered = sorted(self.latencies)
-            position = int(config.hedge_quantile * (len(ordered) - 1))
-            return ordered[position]
-        return config.hedge_after_s
 
 
 class Router:
@@ -287,26 +258,26 @@ class Router:
         #: partial via the normal degrade contract) instead of queueing
         #: requests behind the respawn.  Mutated only by rolling_swap.
         self._draining: set = set()
+        #: Rolling swaps started so far; a swapped shard's channel
+        #: ``generation`` takes this number.
+        self._swaps = 0
 
     # -- shard-level request ladder -------------------------------------
 
     def _read_reply(
-        self,
-        channel: _ShardChannel,
-        handle,
-        request: dict,
-        deadline_s: float,
-        hedge_delay: Optional[float],
+        self, channel: _ShardChannel, handle, request: dict
     ) -> dict:
         """Send one request (+ optional hedge) and read its matching
         reply.  Raises ``socket.timeout`` / ``GarbledFrameError`` /
         ``ConnectionLostError``."""
+        deadline_s = self.config.deadline_s
+        hedge_after_s = self.config.hedge_after_s
         send_message(handle.sock, request)
         copies = 1
         start = self._clock()
         hard_deadline = start + deadline_s
         hedge_at = (
-            start + hedge_delay if hedge_delay is not None else None
+            start + hedge_after_s if hedge_after_s is not None else None
         )
         while True:
             now = self._clock()
@@ -345,14 +316,26 @@ class Router:
         self.supervisor.respawn(shard_id)
 
     def _shard_call(
-        self, shard_id: int, request_base: dict
+        self, shard_id: int, request_base: dict, generation: int
     ) -> dict:
         """Run the full ladder for one shard; returns the worker's reply
         or raises :class:`ShardUnavailableError` (route-around) /
-        :class:`InvalidQueryError` (caller bug, shard healthy)."""
+        :class:`InvalidQueryError` (caller bug, shard healthy).
+
+        ``generation`` is the shard generation the request was planned
+        on.  A rolling swap changes it only while holding the channel
+        lock, so checking it once the lock is ours pins the answer to
+        that generation."""
         channel = self._channels[shard_id]
         config = self.config
         with channel.lock:
+            if channel.generation != generation:
+                self.metrics.counter("serve.generation_moved").inc()
+                raise ShardUnavailableError(
+                    f"shard {shard_id} moved to generation "
+                    f"{channel.generation} after the request was planned "
+                    f"on {generation}"
+                )
             if not channel.breaker.allow_request():
                 self.metrics.counter("serve.breaker_rejected").inc()
                 raise ShardUnavailableError(
@@ -371,15 +354,8 @@ class Router:
                 request = dict(request_base)
                 request["req_id"] = next(self._req_seq)
                 handle = self.supervisor.handle(shard_id)
-                started = self._clock()
                 try:
-                    reply = self._read_reply(
-                        channel,
-                        handle,
-                        request,
-                        config.deadline_s,
-                        channel.hedge_delay(config),
-                    )
+                    reply = self._read_reply(channel, handle, request)
                     if reply.get("op") == "error":
                         if reply.get("error_type") == "InvalidQueryError":
                             # The shard is healthy; the request was bad.
@@ -392,7 +368,6 @@ class Router:
                             f"[{reply.get('error_type')}]: "
                             f"{reply.get('message')}"
                         )
-                    channel.latencies.append(self._clock() - started)
                     channel.breaker.record_success()
                     return reply
                 except InvalidQueryError:
@@ -504,7 +479,24 @@ class Router:
             self.metrics.counter("serve.draining_skipped").inc(
                 len(draining)
             )
-        active_ids = [sid for sid in shard_ids if sid not in draining]
+        # One answer, one generation: plan on the generation most shards
+        # are on (the newer one on a tie) and route around the rest, as
+        # for a draining shard.  _shard_call re-checks under the channel
+        # lock, so a shard swapped after this point drops out too.
+        generations = {
+            sid: self._channels[sid].generation
+            for sid in shard_ids
+            if sid not in draining
+        }
+        counts = Counter(generations.values())
+        planned = max(counts, key=lambda gen: (counts[gen], gen), default=0)
+        active_ids = [
+            sid for sid, gen in generations.items() if gen == planned
+        ]
+        if len(active_ids) < len(generations):
+            self.metrics.counter("serve.generation_skipped").inc(
+                len(generations) - len(active_ids)
+            )
         request_base = {
             "op": "knn",
             "queries": valid_queries,
@@ -517,7 +509,9 @@ class Router:
 
         def scatter_one(sid: int) -> None:
             try:
-                replies[sid] = self._shard_call(sid, request_base)
+                replies[sid] = self._shard_call(
+                    sid, request_base, generations[sid]
+                )
             except BaseException as exc:  # collected, raised on main thread
                 failures[sid] = exc
 
@@ -563,7 +557,7 @@ class Router:
         missing = tuple(
             sid
             for sid in shard_ids
-            if sid in draining
+            if sid not in active_ids
             or (
                 sid in failures
                 and isinstance(failures[sid], ShardUnavailableError)
@@ -633,13 +627,16 @@ class Router:
         it and report ``partial``), acquire its channel lock — every shard
         request holds that lock for its full ladder, so acquiring it IS
         the drain barrier — then point the supervisor at the new
-        generation's directory and respawn the worker from the new
-        snapshot + WAL.  Undrain, move on.  At most one shard is ever
-        down, which is exactly the degrade the ladder already absorbs; a
-        mid-roll answer may mix old- and new-generation shards (stale-read
-        window, see DESIGN.md §15) but is complete and correctly merged
-        under either generation's rid spaces because global rids are
-        stable across generations.
+        generation's directory, respawn the worker from the new snapshot +
+        WAL, and stamp the channel with this swap's generation number
+        while the lock is still held.  Undrain, move on.  At most one
+        shard is ever down, which is exactly the degrade the ladder
+        already absorbs.
+
+        A mid-roll answer never mixes generations (DESIGN.md §15): each
+        request is planned on one generation, and any shard that is on
+        another one — or moves to another one before its turn on the
+        channel — is listed in ``missing_shards`` with ``partial=True``.
 
         The new generation's state is fully built (``prepare_generation``)
         before the first worker dies, so a failure while building leaves
@@ -647,6 +644,7 @@ class Router:
         """
         start = time.perf_counter()
         prepared = self.supervisor.prepare_generation(new_plan, new_root)
+        self._swaps += 1
         swapped: List[int] = []
         try:
             for sid in self.supervisor.shard_ids:
@@ -655,6 +653,7 @@ class Router:
                 try:
                     with channel.lock:  # drained: no request in flight
                         self.supervisor.swap_shard(sid, prepared[sid])
+                        channel.generation = self._swaps
                 finally:
                     self._draining.discard(sid)
                 channel.breaker.record_success()
@@ -699,7 +698,7 @@ class Router:
                     send_message(handle.sock, request)
                     while True:
                         reply = handle.reader.read_message(
-                            timeout=self.config.health_timeout_s
+                            timeout=HEALTH_TIMEOUT_S
                         )
                         if reply.get("req_id") == request["req_id"]:
                             break

@@ -14,6 +14,7 @@ from .faults import (
     FaultPlan,
     FaultyPageStore,
     RetryPolicy,
+    WriteClock,
     corrupt_page,
 )
 from .metrics import CostCounters, CostSnapshot
@@ -29,6 +30,7 @@ from .pager import (
     PageNotFoundError,
     PageOverflowError,
     PageStore,
+    StoreWrapper,
     TransientPageError,
     page_checksum,
     pages_for_vectors,
@@ -64,12 +66,14 @@ __all__ = [
     "PageOverflowError",
     "PageStore",
     "RetryPolicy",
+    "StoreWrapper",
     "TransientPageError",
     "WALPageStore",
     "WALProtocolError",
     "WALRecord",
     "WALTransaction",
     "WriteAheadLog",
+    "WriteClock",
     "corrupt_page",
     "page_checksum",
     "pages_for_vectors",

@@ -37,13 +37,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Callable, Optional, Set, TypeVar
 
 from ..obs.metrics import MetricsRegistry
-from .metrics import CostCounters
 from .pager import (
     Page,
     PageStore,
+    StoreWrapper,
     TransientPageError,
 )
 
@@ -52,54 +52,99 @@ __all__ = [
     "CrashPoint",
     "FaultPlan",
     "FaultyPageStore",
+    "PHASES",
     "RetryPolicy",
+    "WriteClock",
     "corrupt_page",
 ]
+
+_T = TypeVar("_T")
 
 
 class CrashError(RuntimeError):
     """A simulated process crash (power loss) at a planned crashpoint.
 
-    Raised by :class:`~repro.storage.wal.WALPageStore` when its
-    :class:`CrashPoint` fires.  The in-memory index that was mutating is
-    considered lost; only the write-ahead log and the last checkpoint
-    snapshot survive, and :func:`repro.recovery.recover` rebuilds from
-    those.  Catching this anywhere except a crash harness is a bug.
+    Raised by a :class:`WriteClock` when its :class:`CrashPoint` fires.
+    The in-memory state that was mutating is considered lost; only what
+    reached disk survives (for an index: the write-ahead log and the last
+    checkpoint snapshot, which :func:`repro.recovery.recover` rebuilds
+    from).  Catching this anywhere except a crash harness is a bug.
     """
+
+
+#: The two sides of a physical write a :class:`CrashPoint` can cut.
+PHASES = ("before", "after")
 
 
 @dataclass(frozen=True)
 class CrashPoint:
-    """Deterministic crash schedule: die at the N-th physical page write.
+    """Deterministic crash schedule: die at the N-th physical write.
 
-    ``at_write`` is 1-based and counts every page mutation (allocate,
-    overwrite, free) applied through the WAL-protected store since the
-    crashpoint was armed.  ``phase`` selects which side of the
-    log-before-write ordering the power is cut on:
+    ``at_write`` is 1-based and counts the writes a :class:`WriteClock`
+    runs from the moment the point is armed on it.  ``phase`` selects
+    which side of that write the power is cut on:
 
-    * ``"after_log"`` (default) — the WAL record for the N-th write is
-      durable but the page image never lands: the classic torn schedule
+    * ``"after"`` (default) — the write took effect, nothing after it
+      did.  For a WAL page write that means the log record is durable
+      but the page image never lands: the classic torn schedule
       redo-only recovery exists for;
-    * ``"before_log"`` — the crash precedes even the log append, so the
-      log ends at the previous record.
+    * ``"before"`` — the write never happened (for the WAL, the log
+      ends at the previous record).
 
-    Either way the interrupted transaction has no COMMIT record and is
-    discarded by recovery; the two phases exist to prove that claim from
-    both sides of every write.
+    Either way the interrupted operation never completes; a sweep over
+    both phases of every write proves recovery from both sides.
     """
 
     at_write: int
-    phase: str = "after_log"
+    phase: str = "after"
 
     def __post_init__(self) -> None:
         if self.at_write < 1:
             raise ValueError(
                 f"at_write is 1-based and must be >= 1, got {self.at_write}"
             )
-        if self.phase not in ("after_log", "before_log"):
+        if self.phase not in PHASES:
             raise ValueError(
-                f"phase must be 'after_log' or 'before_log', "
-                f"got {self.phase!r}"
+                f"phase must be one of {PHASES}, got {self.phase!r}"
+            )
+
+
+class WriteClock:
+    """Counts physical writes and fires an armed :class:`CrashPoint`.
+
+    The page WAL (:class:`~repro.storage.wal.WALPageStore`) runs every
+    log append through one clock, and the generation store
+    (:class:`~repro.ingest.generation.GenerationStore`) every file
+    operation of a swap: one crash schedule type, one firing rule.
+    """
+
+    def __init__(self) -> None:
+        #: Physical writes run through :meth:`guarded` so far.
+        self.writes = 0
+        self.crashpoint: Optional[CrashPoint] = None
+        self._armed_at = 0
+
+    def arm(self, crashpoint: Optional[CrashPoint]) -> None:
+        """Arm ``crashpoint`` (``None`` disarms); its ``at_write`` counts
+        from the next write on."""
+        self.crashpoint = crashpoint
+        self._armed_at = self.writes
+
+    def guarded(self, label: str, action: Callable[[], _T]) -> _T:
+        """Run one physical write, crashing before or after it when the
+        armed point says so."""
+        self.writes += 1
+        n = self.writes - self._armed_at
+        self._fire("before", n, label)
+        result = action()
+        self._fire("after", n, label)
+        return result
+
+    def _fire(self, phase: str, n: int, label: str) -> None:
+        cp = self.crashpoint
+        if cp is not None and cp.phase == phase and cp.at_write == n:
+            raise CrashError(
+                f"simulated crash at write {n} ({phase} {label})"
             )
 
 
@@ -191,13 +236,14 @@ def corrupt_page(store: PageStore, page_id: int, bit: int = 0) -> None:
     store.corrupt_checksum(page_id, bit)
 
 
-class FaultyPageStore(PageStore):
-    """A :class:`PageStore` wrapper that injects a :class:`FaultPlan`.
+class FaultyPageStore(StoreWrapper):
+    """A :class:`~repro.storage.pager.StoreWrapper` that injects a
+    :class:`FaultPlan` into fetches and writes.
 
     Install with :meth:`repro.index.base.VectorIndex.enable_faults` (or by
-    swapping it in wherever the inner store was referenced).  The wrapper
-    owns no pages — all state lives in the wrapped store, so wrapping an
-    already-built index is safe and reversible.
+    swapping it in wherever the inner store was referenced).
+    ``raw_fetch`` is inherited untouched: accounting replays never see a
+    fault.
     """
 
     def __init__(
@@ -206,9 +252,7 @@ class FaultyPageStore(PageStore):
         plan: FaultPlan,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        # Deliberately no super().__init__: the wrapper delegates all page
-        # state to `inner` and must never shadow it with its own dict.
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self.fault_metrics = (
             metrics if metrics is not None else MetricsRegistry()
@@ -245,55 +289,12 @@ class FaultyPageStore(PageStore):
         """Total faults injected so far (all kinds)."""
         return self._injected
 
-    # -- delegated storage interface ------------------------------------
-
-    @property
-    def counters(self) -> CostCounters:
-        return self.inner.counters
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self.inner
-
-    @property
-    def allocated_pages(self) -> int:
-        return self.inner.allocated_pages
-
-    def register_pool(self, pool) -> None:
-        # Must delegate: the wrapper owns no page dict, so a pool kept in a
-        # shadow `_pools` list here would never see free-time invalidation
-        # (the regression tests/storage/test_faults.py guards this).
-        self.inner.register_pool(pool)
-
-    @property
-    def next_page_id(self) -> int:
-        return self.inner.next_page_id
-
-    def install(self, page_id, payload, size_bytes, lsn=None) -> None:
-        self.inner.install(page_id, payload, size_bytes, lsn)
-
-    def stamp_lsn(self, page_id, lsn) -> None:
-        self.inner.stamp_lsn(page_id, lsn)
-
-    def corrupt_checksum(self, page_id: int, bit: int = 0) -> None:
-        self.inner.corrupt_checksum(page_id, bit)
+    # -- intercepted storage interface ----------------------------------
 
     def discard(self, page_id: int) -> None:
         self.inner.discard(page_id)
         self._pending_transient.pop(page_id, None)
         self._flipped.discard(page_id)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def raw_fetch(self, page_id: int) -> Page:
-        """Fault-free fetch (accounting replay / build internals)."""
-        return self.inner.raw_fetch(page_id)
 
     def allocate(self, payload, size_bytes: int) -> int:
         page_id = self.inner.allocate(payload, size_bytes)
@@ -335,11 +336,6 @@ class FaultyPageStore(PageStore):
             self._flipped.add(page_id)
             corrupt_page(self.inner, page_id)
         return self.inner.fetch(page_id)
-
-    def read_sequential(self, page_id: int) -> Page:
-        page = self.fetch(page_id)
-        self.inner.counters.count_sequential_read()
-        return page
 
     def free(self, page_id: int) -> None:
         self.inner.free(page_id)

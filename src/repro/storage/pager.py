@@ -38,6 +38,7 @@ __all__ = [
     "RID_SIZE",
     "Page",
     "PageStore",
+    "StoreWrapper",
     "PageOverflowError",
     "PageNotFoundError",
     "PageCorruptionError",
@@ -352,3 +353,88 @@ class PageStore:
     def allocated_pages(self) -> int:
         """Number of live pages (index size in pages)."""
         return len(self._pages)
+
+
+class StoreWrapper(PageStore):
+    """A :class:`PageStore` layered over another one (``inner``).
+
+    The wrapper owns no pages: every protocol method forwards to
+    ``inner``, so wrapping a live index's store is safe and reversible.
+    Subclasses (:class:`~repro.storage.faults.FaultyPageStore`,
+    :class:`~repro.storage.wal.WALPageStore`) override only what they
+    change.  :meth:`read_sequential` goes through the wrapper's own
+    :meth:`fetch`, so a subclass that intercepts reads sees streaming
+    scans too.
+    """
+
+    def __init__(self, inner: PageStore) -> None:
+        # Deliberately no super().__init__: all page state lives in
+        # `inner` and must never be shadowed by a dict of the wrapper's.
+        self.inner = inner
+
+    @property
+    def counters(self) -> CostCounters:
+        return self.inner.counters
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def __contains__(self, page_id: int) -> bool:
+        return page_id in self.inner
+
+    @property
+    def allocated_pages(self) -> int:
+        return self.inner.allocated_pages
+
+    @property
+    def next_page_id(self) -> int:
+        return self.inner.next_page_id
+
+    def register_pool(self, pool: Any) -> None:
+        # Free-time invalidation happens in the inner store, so that is
+        # where the pool must be registered.
+        self.inner.register_pool(pool)
+
+    def allocate(self, payload: Any, size_bytes: int) -> int:
+        return self.inner.allocate(payload, size_bytes)
+
+    def overwrite(self, page_id: int, payload: Any, size_bytes: int) -> None:
+        self.inner.overwrite(page_id, payload, size_bytes)
+
+    def fetch(self, page_id: int) -> Page:
+        return self.inner.fetch(page_id)
+
+    def raw_fetch(self, page_id: int) -> Page:
+        return self.inner.raw_fetch(page_id)
+
+    def read_sequential(self, page_id: int) -> Page:
+        page = self.fetch(page_id)
+        self.inner.counters.count_sequential_read()
+        return page
+
+    def free(self, page_id: int) -> None:
+        self.inner.free(page_id)
+
+    def stamp_lsn(self, page_id: int, lsn: Optional[int]) -> None:
+        self.inner.stamp_lsn(page_id, lsn)
+
+    def corrupt_checksum(self, page_id: int, bit: int = 0) -> None:
+        self.inner.corrupt_checksum(page_id, bit)
+
+    def flush(self) -> None:
+        self.inner.flush()
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def install(
+        self,
+        page_id: int,
+        payload: Any,
+        size_bytes: int,
+        lsn: Optional[int] = None,
+    ) -> None:
+        self.inner.install(page_id, payload, size_bytes, lsn)
+
+    def discard(self, page_id: int) -> None:
+        self.inner.discard(page_id)

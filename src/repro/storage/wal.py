@@ -42,11 +42,13 @@ single-threaded); a page mutation outside an open transaction raises
 
 Crashpoints
 -----------
-A :class:`~repro.storage.faults.CrashPoint` armed on the
-:class:`WALPageStore` raises :class:`~repro.storage.faults.CrashError` at
-the N-th physical page write — before or after the corresponding log
-append, by plan — which is how the recovery tests sweep every torn
-schedule deterministically.
+Every log append of a page mutation runs through the
+:class:`WALPageStore`'s :class:`~repro.storage.faults.WriteClock`.  A
+:class:`~repro.storage.faults.CrashPoint` armed there raises
+:class:`~repro.storage.faults.CrashError` at the N-th physical page write
+— before or after its log append, by plan — which is how
+:func:`repro.recovery.crash_sweep` covers every torn schedule
+deterministically.
 """
 
 from __future__ import annotations
@@ -59,9 +61,8 @@ from pathlib import Path
 from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
-from .faults import CrashError, CrashPoint
-from .metrics import CostCounters
-from .pager import Page, PageStore
+from .faults import CrashPoint, WriteClock
+from .pager import PageStore, StoreWrapper
 
 __all__ = [
     "WAL_MAGIC",
@@ -468,20 +469,19 @@ class WriteAheadLog:
         return lsn
 
 
-class WALPageStore(PageStore):
-    """A :class:`PageStore` wrapper enforcing log-before-write.
+class WALPageStore(StoreWrapper):
+    """A :class:`~repro.storage.pager.StoreWrapper` enforcing
+    log-before-write.
 
-    Like :class:`~repro.storage.faults.FaultyPageStore`, the wrapper owns
-    no pages: all state lives in ``inner``, so it can be attached to and
-    detached from a live index (``VectorIndex.enable_wal`` /
-    ``disable_wal``).  Every mutation requires an open
-    :class:`WALTransaction` and is appended to the log before it is
-    applied; the record's LSN is stamped onto the page.  Reads are
-    delegated untouched.
+    Attached to and detached from a live index by
+    ``VectorIndex.enable_wal`` / ``disable_wal``.  Every mutation requires
+    an open :class:`WALTransaction` and is appended to the log before it
+    is applied; the record's LSN is stamped onto the page.  Reads are
+    inherited untouched.
 
-    ``crashpoint`` arms a deterministic :class:`CrashPoint`;
-    ``physical_writes`` counts mutations since attach (the crashpoint's
-    clock).
+    Each log append is one physical write on ``clock`` (a
+    :class:`~repro.storage.faults.WriteClock`), where an armed
+    :class:`~repro.storage.faults.CrashPoint` fires.
     """
 
     def __init__(
@@ -490,12 +490,10 @@ class WALPageStore(PageStore):
         wal: WriteAheadLog,
         crashpoint: Optional[CrashPoint] = None,
     ) -> None:
-        # Deliberately no super().__init__: all page state stays in
-        # `inner` (same pattern as FaultyPageStore).
-        self.inner = inner
+        super().__init__(inner)
         self.wal = wal
-        self.crashpoint = crashpoint
-        self.physical_writes = 0
+        self.clock = WriteClock()
+        self.clock.arm(crashpoint)
 
     # -- write path ------------------------------------------------------
 
@@ -509,27 +507,13 @@ class WALPageStore(PageStore):
             )
         return txn.txn_id
 
-    def _crash_if(self, phase: str, write_no: int) -> None:
-        cp = self.crashpoint
-        if (
-            cp is not None
-            and cp.phase == phase
-            and write_no == cp.at_write
-        ):
-            raise CrashError(
-                f"simulated crash at physical page write {write_no} "
-                f"({phase})"
-            )
-
     def _log_write(self, rtype: int, payload: dict) -> int:
-        """One physical write: count, maybe crash, log, maybe crash."""
+        """One physical write: the log append, run through the clock."""
         txn_id = self._txn_id()
-        self.physical_writes += 1
-        n = self.physical_writes
-        self._crash_if("before_log", n)
-        lsn = self.wal.append(rtype, payload, txn_id)
-        self._crash_if("after_log", n)
-        return lsn
+        return self.clock.guarded(
+            RECORD_TYPE_NAMES[rtype],
+            lambda: self.wal.append(rtype, payload, txn_id),
+        )
 
     def allocate(self, payload: Any, size_bytes: int) -> int:
         page_id = self.inner.next_page_id
@@ -564,55 +548,3 @@ class WALPageStore(PageStore):
     def free(self, page_id: int) -> None:
         self._log_write(PAGE_FREE, {"page_id": page_id})
         self.inner.free(page_id)
-
-    # -- delegated read/introspection interface -------------------------
-
-    @property
-    def counters(self) -> CostCounters:
-        return self.inner.counters
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self.inner
-
-    @property
-    def allocated_pages(self) -> int:
-        return self.inner.allocated_pages
-
-    @property
-    def next_page_id(self) -> int:
-        return self.inner.next_page_id
-
-    def register_pool(self, pool) -> None:
-        # Delegate so free-time invalidation reaches pools registered here
-        # (the FaultyPageStore regression taught us this one).
-        self.inner.register_pool(pool)
-
-    def fetch(self, page_id: int) -> Page:
-        return self.inner.fetch(page_id)
-
-    def raw_fetch(self, page_id: int) -> Page:
-        return self.inner.raw_fetch(page_id)
-
-    def read_sequential(self, page_id: int) -> Page:
-        return self.inner.read_sequential(page_id)
-
-    def install(self, page_id, payload, size_bytes, lsn=None) -> None:
-        self.inner.install(page_id, payload, size_bytes, lsn)
-
-    def discard(self, page_id: int) -> None:
-        self.inner.discard(page_id)
-
-    def stamp_lsn(self, page_id, lsn) -> None:
-        self.inner.stamp_lsn(page_id, lsn)
-
-    def corrupt_checksum(self, page_id: int, bit: int = 0) -> None:
-        self.inner.corrupt_checksum(page_id, bit)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def close(self) -> None:
-        self.inner.close()

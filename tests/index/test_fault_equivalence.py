@@ -154,6 +154,27 @@ class TestTransientFaultEquivalence:
         with pytest.raises(RuntimeError):
             index.enable_faults(TRANSIENT_PLAN)
 
+    def test_faults_refuse_a_wal_protected_store(self, reduced, tmp_path):
+        # Layering faults over the WAL would hide the WAL from
+        # ``index.wal`` / ``disable_wal`` while it kept logging underneath.
+        index = ExtendedIDistance(reduced)
+        wal_store = index.enable_wal(tmp_path / "wal.log")
+        try:
+            with pytest.raises(RuntimeError, match="already wrapped"):
+                index.enable_faults(TRANSIENT_PLAN)
+            assert index.store is wal_store
+            assert index.wal is wal_store.wal
+            assert index.disable_wal() is wal_store
+        finally:
+            wal_store.wal.close()
+
+    def test_wal_refuses_a_faulty_store(self, reduced, tmp_path):
+        index = ExtendedIDistance(reduced)
+        faulty = index.enable_faults(TRANSIENT_PLAN)
+        with pytest.raises(RuntimeError, match="already wrapped"):
+            index.enable_wal(tmp_path / "wal.log")
+        assert index.store is faulty
+
     def test_corruption_surfaces_as_typed_error(self, reduced, workload):
         # A corrupting plan is NOT in the bit-identical regime: the first
         # poisoned miss must raise, never return wrong neighbors.

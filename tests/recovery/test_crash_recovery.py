@@ -80,7 +80,6 @@ def test_every_crashpoint_recovers_to_committed_prefix(
         tmp_path,
         ds.points[:4],
         k=5,
-        phases=("after_log", "before_log"),
     )
     assert outcomes, "workload issued no physical writes to sweep"
     assert all(o.ok for o in outcomes), fail_summary(outcomes)

@@ -273,7 +273,7 @@ class TestWALPageStore:
         assert body[1][1]["payload"] == {"v": 2}
         # the page carries the LSN of its latest record
         assert inner.raw_fetch(pid).lsn == records[2].lsn
-        assert store.physical_writes == 2
+        assert store.clock.writes == 2
 
     def test_free_is_logged_and_applied(self, wal, make_store):
         inner, store = self._stack(wal, make_store)
@@ -306,7 +306,7 @@ class TestWALPageStore:
         assert store.allocated_pages == 1
         assert len(wal.records()) == n_records
 
-    @pytest.mark.parametrize("phase", ["before_log", "after_log"])
+    @pytest.mark.parametrize("phase", ["before", "after"])
     def test_crashpoint_fires_at_exact_write(self, wal, phase, make_store):
         inner, _ = self._stack(wal, make_store)
         store = WALPageStore(
@@ -319,8 +319,8 @@ class TestWALPageStore:
         logged = [
             r for r in wal.records() if r.rtype == PAGE_ALLOC
         ]
-        # before_log: the 2nd record never hit the log; after_log: it did
-        assert len(logged) == (1 if phase == "before_log" else 2)
+        # before: the 2nd record never hit the log; after: it did
+        assert len(logged) == (1 if phase == "before" else 2)
         # either way the 2nd page was never applied to the store
         assert len(inner) == 1
 

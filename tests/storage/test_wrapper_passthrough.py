@@ -1,20 +1,22 @@
 """Wrapper passthrough contract: every PageStore protocol method forwards.
 
-The store wrappers (:class:`~repro.storage.faults.FaultyPageStore`,
+The store wrappers (:class:`~repro.storage.pager.StoreWrapper` and its
+subclasses :class:`~repro.storage.faults.FaultyPageStore` and
 :class:`~repro.storage.wal.WALPageStore`) deliberately skip
-``super().__init__`` — all page state lives in ``inner``.  That makes
-silent *inheritance* of a base-class method a bug class: the inherited
-body would touch the wrapper's nonexistent ``_pages``/``_pools`` (crash),
-or — worse, for the in-place metadata hooks — mutate a transient object
-and silently persist nothing on a serializing store.  PR 7 hit exactly
-this with ``stamp_lsn``/``corrupt_checksum`` over mmap.
+``PageStore.__init__`` — all page state lives in ``inner``.  That makes
+silent *inheritance* of a ``PageStore`` method body a bug class: it would
+touch the wrapper's nonexistent ``_pages``/``_pools`` (crash), or — worse,
+for the in-place metadata hooks — mutate a transient object and silently
+persist nothing on a serializing store.  ``stamp_lsn`` and
+``corrupt_checksum`` over mmap once failed exactly this way.
 
 Two guards:
 
-* an introspective audit — every public protocol name defined on
-  :class:`~repro.storage.pager.PageStore` must be *redefined* on each
-  wrapper, so adding a protocol method without forwarding it fails CI
-  immediately;
+* an introspective audit — no public protocol name defined on
+  :class:`~repro.storage.pager.PageStore` may resolve to ``PageStore``'s
+  own body on any wrapper (``StoreWrapper`` forwards them all, its
+  subclasses inherit or override those forwards), so adding a protocol
+  method without forwarding it fails CI immediately;
 * a behavioral regression stacking every layer at once
   (WAL over faults over mmap) and driving the named hooks end to end.
 """
@@ -29,11 +31,12 @@ from repro.storage.mmap_store import MmapPageStore
 from repro.storage.pager import (
     PageCorruptionError,
     PageStore,
+    StoreWrapper,
     TransientPageError,
 )
 from repro.storage.wal import WALPageStore, WriteAheadLog
 
-WRAPPERS = [FaultyPageStore, WALPageStore]
+WRAPPERS = [StoreWrapper, FaultyPageStore, WALPageStore]
 
 
 def _protocol_names():
@@ -50,7 +53,9 @@ def _protocol_names():
 @pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
 def test_every_protocol_method_is_explicitly_forwarded(wrapper):
     missing = [
-        name for name in _protocol_names() if name not in vars(wrapper)
+        name
+        for name in _protocol_names()
+        if getattr(wrapper, name) is getattr(PageStore, name)
     ]
     assert not missing, (
         f"{wrapper.__name__} inherits {missing} from PageStore instead of "
