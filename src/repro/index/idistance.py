@@ -282,7 +282,7 @@ class ExtendedIDistance(VectorIndex):
         # partition's delta store.
         # Deletes remove the B+-tree entry physically and tombstone the rid,
         # but leave the (immutable) bulk/delta vector arrays alone; scans
-        # filter dead rids when offering candidates.
+        # filter dead entries by position (_alive_masks).
         self._delta_location: Dict[int, Tuple[int, int]] = {}
         self.tree = BPlusTree(self.store, self.pool)
         self._bulk_load_tree()
@@ -302,6 +302,27 @@ class ExtendedIDistance(VectorIndex):
         self._rank_base = np.concatenate(
             [[0], np.cumsum(sizes)]
         ).astype(np.int64)
+        self._reset_scan_state()
+
+    def _reset_scan_state(self) -> None:
+        """Drop the scan's derived state: the alive masks, cached as
+        ``(key, masks, tombstones folded in)`` (see :meth:`_alive_masks`),
+        and the delta stores' column blocks (:meth:`_delta_block`)."""
+        self._alive: Optional[
+            Tuple[Tuple[int, int], List[Optional[np.ndarray]], frozenset]
+        ] = None
+        self._delta_blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        # A snapshot carries the tombstones and delta lists, never the
+        # scan state derived from them.
+        state = dict(self.__dict__)
+        del state["_alive"], state["_delta_blocks"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_scan_state()
 
     # ------------------------------------------------------------------
     # construction
@@ -443,12 +464,7 @@ class ExtendedIDistance(VectorIndex):
         best = self.partitions[partition]
         with self._wal_txn("insert") as txn:
             self.tree.insert(best.index * self.c + offset, rid)
-            best.delta_vectors.append(vector)
-            best.delta_rids.append(rid)
-            self._delta_location[rid] = (
-                best.index,
-                best.rids.size + len(best.delta_rids) - 1,
-            )
+            self._append_delta(best, vector, rid)
             best.max_radius = max(best.max_radius, offset)
             best.min_radius = min(best.min_radius, offset)
             # Delta vectors pack into pages of their own (charged on scan).
@@ -463,7 +479,6 @@ class ExtendedIDistance(VectorIndex):
                         0,
                     )
                 )
-            self.n_inserted += 1
             if txn is not None:
                 txn.set_meta(
                     {
@@ -506,6 +521,16 @@ class ExtendedIDistance(VectorIndex):
                     {"kind": "delete", "rid": rid, **self._tree_meta()}
                 )
 
+    def _append_delta(
+        self, partition: _Partition, vector: np.ndarray, rid: int
+    ) -> None:
+        """Append one entry to a partition's delta store and register its
+        location: the bookkeeping an insert and its recovery redo share."""
+        partition.delta_vectors.append(vector)
+        partition.delta_rids.append(rid)
+        self._delta_location[rid] = (partition.index, partition.size - 1)
+        self.n_inserted += 1
+
     def _tree_meta(self) -> dict:
         """The B+-tree's in-memory scalars, for a commit after-image
         (page contents are redone physically; these are not page-resident)."""
@@ -520,17 +545,14 @@ class ExtendedIDistance(VectorIndex):
         kind = meta["kind"]
         if kind == "insert":
             partition = self.partitions[meta["partition"]]
-            vector = np.asarray(meta["vector"], dtype=np.float64)
-            partition.delta_vectors.append(vector)
-            partition.delta_rids.append(int(meta["rid"]))
+            self._append_delta(
+                partition,
+                np.asarray(meta["vector"], dtype=np.float64),
+                int(meta["rid"]),
+            )
             partition.delta_pages = list(meta["delta_pages"])
             partition.min_radius = float(meta["min_radius"])
             partition.max_radius = float(meta["max_radius"])
-            self._delta_location[int(meta["rid"])] = (
-                partition.index,
-                partition.rids.size + len(partition.delta_rids) - 1,
-            )
-            self.n_inserted += 1
         elif kind == "delete":
             self._tombstones.add(int(meta["rid"]))
         else:
@@ -572,6 +594,64 @@ class ExtendedIDistance(VectorIndex):
                 int(self._rid_location[rid, 1]),
             )
         return self._delta_location.get(rid)
+
+    def _alive_masks(self) -> List[Optional[np.ndarray]]:
+        """Per partition, a bool mask over its positions (bulk entries,
+        then delta entries) that is False at deleted entries, or ``None``
+        for a partition with no deletes.
+
+        Derived from the tombstones and brought up to date only when a
+        mutation has happened since: tombstones and inserts only grow
+        between rebuilds, so their counts key the cache, and only the
+        tombstones not yet folded in are located.  A changed mask is a
+        new array, never written in place.
+        """
+        key = (len(self._tombstones), self.n_inserted)
+        cached = self._alive
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        if cached is None:
+            masks, folded = [None] * len(self.partitions), frozenset()
+        else:
+            masks, folded = list(cached[1]), cached[2]
+        dead: Dict[int, List[int]] = {}
+        for rid in self._tombstones - folded:
+            part_idx, position = self._location(rid)
+            dead.setdefault(part_idx, []).append(position)
+        for part_idx, partition in enumerate(self.partitions):
+            mask = masks[part_idx]
+            positions = dead.get(part_idx)
+            current = mask is None or mask.size == partition.size
+            if positions is None and current:
+                continue
+            grown = np.ones(partition.size, dtype=bool)
+            if mask is not None:
+                grown[: mask.size] = mask
+            if positions is not None:
+                grown[positions] = False
+            masks[part_idx] = grown
+        self._alive = (key, masks, frozenset(self._tombstones))
+        return masks
+
+    def _delta_block(
+        self, partition: _Partition
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A partition's delta store as a ``(width, n)`` C-ordered column
+        block and its int64 rids, extended only when the store has grown
+        (delta stores only grow between rebuilds)."""
+        n = len(partition.delta_rids)
+        block = self._delta_blocks.get(partition.index)
+        have = 0 if block is None else block[1].size
+        if have != n:
+            # (width, n) C-ordered: the transpose of an F-ordered row
+            # stack, built in one copy.
+            cols = np.array(partition.delta_vectors[have:], order="F").T
+            rids = np.array(partition.delta_rids[have:], np.int64)
+            if have:
+                cols = np.concatenate([block[0], cols], axis=1)
+                rids = np.concatenate([block[1], rids])
+            block = self._delta_blocks[partition.index] = (cols, rids)
+        return block
 
     def _holds(self, rid: int) -> bool:
         return self._location(rid) is not None
@@ -713,8 +793,6 @@ class ExtendedIDistance(VectorIndex):
             )
         live = isinstance(sinks[0], _LiveSink)
         n_parts = len(self.partitions)
-        tombs = self._tombstone_array()
-        last_tomb = tombs.size - 1
 
         # Per-partition query geometry.  Projections stay per-query gemv
         # calls (a stacked gemm is NOT bit-identical to gemv rows — see
@@ -753,10 +831,6 @@ class ExtendedIDistance(VectorIndex):
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 q_cols.append(block)
                 q_dist.append(row)
-
-        # Column-stacked copies of the partitions' delta stores (dynamic
-        # inserts) and their rids, built on a partition's first contact.
-        delta_blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
         # Past this radius every partition's keys are consumed for a query.
         reach = [
@@ -797,7 +871,10 @@ class ExtendedIDistance(VectorIndex):
         c = self.c
         radius = self.radius_step
         # What probe() reads of a partition, gathered once per scan rather
-        # than once per radius expansion.
+        # than once per radius expansion: the bulk arrays, the alive mask
+        # over the partition's positions (None without deletes) and the
+        # delta store's column block (None while it is empty).
+        alive_masks = self._alive_masks()
         plans = [
             (
                 partition.offsets,
@@ -806,19 +883,24 @@ class ExtendedIDistance(VectorIndex):
                 partition.page_of_entry,
                 int(self._rank_base[partition.index]),
                 max(1, partition.columns.shape[0]),
+                alive_masks[partition.index],
+                self._delta_block(partition) if partition.delta_rids else None,
             )
             for partition in self.partitions
         ]
 
-        def offer(qi: int, seg_d: np.ndarray, seg_r: np.ndarray) -> None:
+        def offer(
+            qi: int,
+            seg_d: np.ndarray,
+            seg_r: np.ndarray,
+            alive: Optional[np.ndarray],
+        ) -> None:
             """Merge scored candidates (a scanned window, or a delta
-            store) into query ``qi``'s top-K heap."""
+            store) into query ``qi``'s top-K heap.  ``alive`` is the
+            segment's slice of its partition's alive mask, or ``None``
+            when the partition has no deletes."""
             heap = heaps[qi]
-            if tombs.size:
-                # Membership in the sorted tombstone array (np.isin
-                # costs tens of microseconds a call at any size).
-                hit = np.searchsorted(tombs, seg_r)
-                alive = tombs[np.minimum(hit, last_tomb)] != seg_r
+            if alive is not None:
                 seg_d = seg_d[alive]
                 seg_r = seg_r[alive]
             # kth[qi] is maintained at every heap mutation, so it IS the
@@ -878,7 +960,11 @@ class ExtendedIDistance(VectorIndex):
             """Advance every active query's scan of one partition to cover
             the key interval ``[d_i - radius, d_i + radius]``."""
             p = partition.index
-            offsets, columns, rids_all, page_of_entry, rank0, width = plans[p]
+            (
+                offsets, columns, rids_all, page_of_entry, rank0, width,
+                alive, delta,
+            ) = plans[p]
+            n_bulk = rids_all.size
             Qc = q_cols[p]
             qd = q_dist[p]
             touched = contacted[p]
@@ -904,22 +990,17 @@ class ExtendedIDistance(VectorIndex):
                     sink.descend(tree, p * c + seek)
                     ins[qi] = outs[qi] = int(offsets.searchsorted(seek))
                     touched[qi] = 1
-                    if partition.delta_rids:
+                    if delta is not None:
                         for page in partition.delta_pages:
                             sink.read_range(page, page)
-                        delta = delta_blocks.get(p)
-                        if delta is None:
-                            # (width, n) C-ordered: the transpose of an
-                            # F-ordered row stack, built in one copy.
-                            delta = delta_blocks[p] = (
-                                np.array(
-                                    partition.delta_vectors, order="F"
-                                ).T,
-                                np.array(partition.delta_rids, np.int64),
-                            )
                         ddists = flat_l2(delta[0], slice(None), Qc, qi)
                         sink.count_distance(ddists.size, width)
-                        offer(qi, ddists, delta[1])
+                        offer(
+                            qi,
+                            ddists,
+                            delta[1],
+                            None if alive is None else alive[n_bulk:],
+                        )
                 n_contact += 1
                 bound = kth[qi] if kth[qi] < radius else radius
                 in_hi = ins[qi]
@@ -998,7 +1079,9 @@ class ExtendedIDistance(VectorIndex):
                         page_of_entry.item(a), page_of_entry.item(b - 1)
                     )
                     sink.count_scan(b - a, width)
-                    offer(qi, seg_d, seg_r)
+                    offer(
+                        qi, seg_d, seg_r, None if alive is None else alive[a:b]
+                    )
 
         def expand(act: List[int]) -> None:
             for partition in self.partitions:

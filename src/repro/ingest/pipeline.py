@@ -289,10 +289,12 @@ class IngestPipeline:
         self.applied_seq = 0
         self.oplog: Optional[OpLog] = None
         self._vectors: Dict[int, np.ndarray] = {}
-        self._rid_of_local: List[int] = []
+        # Local -> global rids: the first _n_local entries of a buffer
+        # grown geometrically, so an insert appends in amortized O(1).
+        self._rid_buffer = np.empty(0, dtype=np.int64)
+        self._n_local = 0
         self._local_of_global: Dict[int, int] = {}
         self._deleted: set = set()
-        self._rid_map_cache: Optional[np.ndarray] = None
 
     # -- construction -----------------------------------------------------
 
@@ -377,11 +379,7 @@ class IngestPipeline:
         pipeline._vectors = {
             int(rid_map[i]): points[i] for i in range(rid_map.size)
         }
-        pipeline._rid_of_local = [int(r) for r in rid_map]
-        pipeline._local_of_global = {
-            int(r): i for i, r in enumerate(rid_map)
-        }
-        pipeline._deleted = set()
+        pipeline._reset_rids(rid_map)
 
         # The index's committed watermark: the generation WAL's last
         # CHECKPOINT carries the oplog seq it captured; every COMMIT after
@@ -429,13 +427,21 @@ class IngestPipeline:
 
     @property
     def rid_map(self) -> np.ndarray:
-        if self._rid_map_cache is None or self._rid_map_cache.size != len(
-            self._rid_of_local
-        ):
-            self._rid_map_cache = np.asarray(
-                self._rid_of_local, dtype=np.int64
-            )
-        return self._rid_map_cache
+        """Local -> global rids of the current generation, as a read-only
+        view: the buffer behind it is appended to in place, so a writable
+        view would let a caller corrupt later id translation."""
+        view = self._rid_buffer[: self._n_local]
+        view.flags.writeable = False
+        return view
+
+    def _reset_rids(self, rid_map: np.ndarray) -> None:
+        """Start a generation's rid bookkeeping from its bulk rid map."""
+        self._rid_buffer = np.array(rid_map, dtype=np.int64)
+        self._n_local = self._rid_buffer.size
+        self._local_of_global = {
+            int(r): i for i, r in enumerate(self._rid_buffer.tolist())
+        }
+        self._deleted = set()
 
     @property
     def n_live(self) -> int:
@@ -454,10 +460,15 @@ class IngestPipeline:
         if op[0] == "insert":
             _, point, rid, _beta = op
             rid = int(rid)
-            self._local_of_global[rid] = len(self._rid_of_local)
-            self._rid_of_local.append(rid)
+            local = self._n_local
+            if local == self._rid_buffer.size:
+                grown = np.empty(max(16, 2 * local), dtype=np.int64)
+                grown[:local] = self._rid_buffer
+                self._rid_buffer = grown
+            self._rid_buffer[local] = rid
+            self._n_local = local + 1
+            self._local_of_global[rid] = local
             self._vectors[rid] = np.asarray(point, dtype=np.float64)
-            self._rid_map_cache = None
         elif op[0] == "delete":
             rid = int(op[1])
             self._vectors.pop(rid, None)
@@ -469,9 +480,10 @@ class IngestPipeline:
         """Route one op through the WAL'd insert/delete path."""
         if op[0] == "insert":
             _, point, rid, beta = op
-            local = len(self._rid_of_local)
             self.index.insert(
-                np.asarray(point, dtype=np.float64), local, beta=float(beta)
+                np.asarray(point, dtype=np.float64),
+                self._n_local,
+                beta=float(beta),
             )
         else:
             local = self._local_of_global[int(op[1])]
@@ -618,12 +630,7 @@ class IngestPipeline:
         )
         self.index = new_index
         self.generation = new_generation
-        self._rid_of_local = [int(r) for r in rid_map]
-        self._local_of_global = {
-            int(r): i for i, r in enumerate(rid_map)
-        }
-        self._deleted = set()
-        self._rid_map_cache = None
+        self._reset_rids(rid_map)
 
         drift_after = max(drift_scores(self.index).values(), default=0.0)
         report = ReorgReport(

@@ -233,3 +233,59 @@ class TestCheckpointWatermark:
             batch_fingerprint(want.ids, want.distances)
         )
         reopened.close()
+
+
+class TestRidMap:
+    def test_rid_map_is_a_read_only_view_that_appends(
+        self, pipeline, base_points
+    ):
+        n = base_points.shape[0]
+        first = pipeline.rid_map
+        assert first.tolist() == list(range(n))
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 99
+        for j in range(40):  # past the first buffer growth
+            point = base_points[j] * (1.0 + 1e-7)
+            pipeline.apply(("insert", point, 5_000 + j, 1.0))
+        grown = pipeline.rid_map
+        assert not grown.flags.writeable
+        inserted = [5_000 + j for j in range(40)]
+        assert grown.tolist() == list(range(n)) + inserted
+        # A view taken earlier still reads what it read before.
+        assert first.tolist() == list(range(n))
+
+    def test_answers_see_every_mutation_entry_point(
+        self, tmp_path, base_points, reduce_fn
+    ):
+        """Query, mutate, query again across an insert, a delete, a reorg
+        and a reopen: the local -> global translation must follow."""
+        pipe, _ = IngestPipeline.create(
+            tmp_path / "p", base_points, reduce_fn, "iMMDR",
+            thresholds=QUIET, auto_reorg=False,
+        )
+        query = base_points[5] + 0.003
+        victim = int(pipe.knn(query, 1).ids[0])
+        pipe.apply(("delete", victim))
+        assert victim not in pipe.knn(query, 5).ids.tolist()
+        pipe.apply(("insert", query, 7_777, 1.0))
+        assert pipe.knn(query, 1).ids[0] == 7_777
+
+        pipe.reorg()
+        assert pipe.generation == 2
+        assert pipe.knn(query, 1).ids[0] == 7_777
+        pipe.apply(("insert", query + 1e-4, 8_888, 1.0))
+        got = pipe.knn(query, 5).ids.tolist()
+        assert got[:2] == [7_777, 8_888] and victim not in got
+        pipe.close()
+
+        reopened, _ = IngestPipeline.open(
+            tmp_path / "p", reduce_fn=reduce_fn, scheme="iMMDR",
+            thresholds=QUIET, auto_reorg=False,
+        )
+        assert reopened.knn(query, 2).ids.tolist() == [7_777, 8_888]
+        reopened.apply(("delete", 7_777))
+        reopened.apply(("insert", query, 9_999, 1.0))
+        got = reopened.knn_batch(query[None, :], 5).ids[0].tolist()
+        assert got[:2] == [9_999, 8_888] and 7_777 not in got
+        reopened.close()
