@@ -31,7 +31,7 @@ from ..eval.harness import run_workload
 from ..obs.health import HealthSampler
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, ensure_tracer
-from ..recovery import checkpoint, recover
+from ..recovery import WAL_NAME, checkpoint, recover
 from ..recovery.harness import apply_op
 from ..storage.wal import WriteAheadLog
 from .fingerprint import result_fingerprint
@@ -189,7 +189,7 @@ def run_bench(
             else Path(workdir)
         )
         workdir.mkdir(parents=True, exist_ok=True)
-        wal_path = workdir / "wal.log"
+        wal_path = workdir / WAL_NAME
         wal = WriteAheadLog(wal_path)
         try:
             index.enable_wal(wal)

@@ -25,13 +25,12 @@ import numpy as np
 
 from ..data.synthetic import SyntheticSpec, generate_correlated_clusters
 from ..data.workload import QueryWorkload, sample_queries
-from ..index import INDEX_SCHEMES
+from ..index import index_builder
 from ..index.base import VectorIndex
 from ..linalg.kernels import normalize_rows
 from ..recovery.harness import Op, make_update_workload
 from ..reduction import LDRReducer, MMDRReducer, ReducedDataset
 from ..storage.faults import FaultPlan
-from ..storage.mmap_store import MmapPageStore
 
 __all__ = ["WorkloadSpec", "REDUCERS"]
 
@@ -86,11 +85,11 @@ class WorkloadSpec:
     update_beta: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.scheme not in INDEX_SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; "
-                f"expected one of {sorted(INDEX_SCHEMES)}"
-            )
+        # Frozen: the builder is kept outside the dataclass fields, so it
+        # stays out of to_dict() and comparisons.
+        object.__setattr__(
+            self, "_build", index_builder(self.scheme, self.store)
+        )
         if self.reducer not in REDUCERS:
             raise ValueError(
                 f"unknown reducer {self.reducer!r}; "
@@ -100,10 +99,7 @@ class WorkloadSpec:
             raise ValueError(
                 f"metric must be 'l2' or 'cosine', got {self.metric!r}"
             )
-        if self.store not in ("memory", "mmap"):
-            raise ValueError(
-                f"store must be 'memory' or 'mmap', got {self.store!r}"
-            )
+
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -158,8 +154,7 @@ class WorkloadSpec:
         return reduced
 
     def build_index(self, reduced: ReducedDataset) -> VectorIndex:
-        factory = MmapPageStore if self.store == "mmap" else None
-        return INDEX_SCHEMES[self.scheme](reduced, store_factory=factory)
+        return self._build(reduced)
 
     def build_workload(self, points: np.ndarray) -> QueryWorkload:
         return sample_queries(

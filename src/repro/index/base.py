@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ __all__ = [
     "KNNResult",
     "BatchKNNResult",
     "VectorIndex",
+    "check_query_block",
+    "expand_valid_rows",
 ]
 
 
@@ -170,6 +172,59 @@ class BatchKNNResult:
         )
 
 
+def check_query_block(
+    queries: np.ndarray,
+    k: int,
+    dimensionality: Optional[int],
+    metric: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a ``(Q, d)`` query block for a batched KNN call.
+
+    A bad shape, ``k < 1`` or a dimensionality other than
+    ``dimensionality`` (``None``: unchecked) is structural and raises.
+    Returns the block as C-contiguous float64 plus the mask of its valid
+    rows: finite, and of nonzero norm under ``"cosine"`` (a zero vector
+    has no direction).  Invalid rows are skipped and reported, not raised.
+    """
+    queries = np.ascontiguousarray(
+        np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    )
+    if queries.ndim != 2:
+        raise ValueError(
+            f"queries must be (Q, d), got shape {queries.shape}"
+        )
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if dimensionality is not None and queries.shape[1] != dimensionality:
+        raise InvalidQueryError(
+            f"queries have {queries.shape[1]} dimensions; the index "
+            f"was built over {dimensionality}-dimensional data"
+        )
+    valid = np.isfinite(queries).all(axis=1)
+    if metric == "cosine":
+        valid &= np.linalg.norm(queries, axis=1) > 0.0
+    return queries, valid
+
+
+def expand_valid_rows(
+    ids: np.ndarray,
+    distances: np.ndarray,
+    stats: Sequence[QueryStats],
+    valid: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Tuple[QueryStats, ...]]:
+    """Spread answers for the ``valid`` rows back over the whole block:
+    a skipped row gets ``-1`` ids, NaN distances and zero stats."""
+    n_queries, k_cols = valid.shape[0], ids.shape[1]
+    full_ids = np.full((n_queries, k_cols), -1, dtype=np.int64)
+    full_dists = np.full((n_queries, k_cols), np.nan, dtype=np.float64)
+    full_ids[valid] = ids
+    full_dists[valid] = distances
+    full_stats = [QueryStats(0, 0, 0, 0, 0.0)] * n_queries
+    for row, s in zip(np.flatnonzero(valid).tolist(), stats):
+        full_stats[row] = s
+    return full_ids, full_dists, tuple(full_stats)
+
+
 class VectorIndex(ABC):
     """A KNN index over a reduced dataset, with its own simulated storage."""
 
@@ -244,26 +299,10 @@ class VectorIndex(ABC):
         workload; a dimensionality mismatch is structural to the whole
         matrix and raises :class:`InvalidQueryError` outright.
         """
-        queries = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries, valid = check_query_block(
+            queries, k, self.query_dim, self.metric
         )
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be (Q, d), got shape {queries.shape}"
-            )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        expected = self.query_dim
-        if expected is not None and queries.shape[1] != expected:
-            raise InvalidQueryError(
-                f"queries have {queries.shape[1]} dimensions; the index "
-                f"was built over {expected}-dimensional data"
-            )
         tracer = ensure_tracer(tracer)
-        valid = np.isfinite(queries).all(axis=1)
-        if self.metric == "cosine":
-            # Zero vectors have no direction: skip-and-report, same as NaN.
-            valid &= np.linalg.norm(queries, axis=1) > 0.0
         invalid_rows = np.flatnonzero(~valid)
         valid_queries = queries if valid.all() else queries[valid]
         start = time.perf_counter()
@@ -282,20 +321,9 @@ class VectorIndex(ABC):
                 tracer.counter("knn.invalid_queries").inc(
                     int(invalid_rows.size)
                 )
-            k_cols = ids.shape[1]
-            full_ids = np.full(
-                (queries.shape[0], k_cols), -1, dtype=np.int64
+            ids, distances, stats = expand_valid_rows(
+                ids, distances, stats, valid
             )
-            full_dists = np.full(
-                (queries.shape[0], k_cols), np.nan, dtype=np.float64
-            )
-            full_ids[valid] = ids
-            full_dists[valid] = distances
-            zero = QueryStats(0, 0, 0, 0, 0.0)
-            full_stats: List[QueryStats] = [zero] * queries.shape[0]
-            for row, s in zip(np.flatnonzero(valid).tolist(), stats):
-                full_stats[row] = s
-            ids, distances, stats = full_ids, full_dists, full_stats
         if tracer.enabled and wall > 0:
             tracer.gauge("knn.batch_qps").set(queries.shape[0] / wall)
         return BatchKNNResult(

@@ -13,6 +13,11 @@ A :class:`GenerationStore` lays a root directory out as::
         GENERATION.json    # generation manifest (self-checksummed)
       gen-000002/ ...
 
+A generation directory is an index directory
+(:func:`repro.recovery.index_dir_writes` writes ``rid_map.npy``, ``ckpt/``
+and ``wal.log``; :func:`repro.recovery.recover_index_dir` reopens them)
+plus the bulk matrix and the manifest.
+
 The **swap protocol** (DESIGN.md §15) is build → swap → truncate:
 
 1. *build* — the next generation's directory is written in full next to
@@ -44,23 +49,19 @@ from typing import Callable, List, Optional, Tuple, TypeVar, Union
 import numpy as np
 
 from ..index.base import VectorIndex
-from ..persist.snapshot import (
-    _canonical_manifest_bytes,
-    _crc32,
-    save_index,
+from ..persist.snapshot import _canonical_manifest_bytes, _crc32
+from ..recovery.recover import (
+    RecoveryReport,
+    index_dir_writes,
+    recover_index_dir,
 )
-from ..recovery.recover import RecoveryReport, recover
 from ..storage.faults import WriteClock
-from ..storage.wal import WriteAheadLog
 
 __all__ = [
     "CURRENT_NAME",
     "GEN_MANIFEST_NAME",
     "OPLOG_NAME",
     "POINTS_NAME",
-    "RID_MAP_NAME",
-    "SNAPSHOT_NAME",
-    "WAL_NAME",
     "GenerationError",
     "GenerationMissingError",
     "GenerationStore",
@@ -70,9 +71,6 @@ CURRENT_NAME = "CURRENT"
 OPLOG_NAME = "oplog.log"
 GEN_MANIFEST_NAME = "GENERATION.json"
 POINTS_NAME = "points.npy"
-RID_MAP_NAME = "rid_map.npy"
-SNAPSHOT_NAME = "ckpt"
-WAL_NAME = "wal.log"
 
 _T = TypeVar("_T")
 
@@ -174,33 +172,14 @@ class GenerationStore:
                 np.ascontiguousarray(points, dtype=np.float64),
             ),
         )
-        self.guarded(
-            "rid_map",
-            lambda: np.save(
-                gdir / RID_MAP_NAME,
-                np.ascontiguousarray(rid_map, dtype=np.int64),
-            ),
-        )
-        self.guarded(
-            "snapshot",
-            lambda: save_index(
-                index, gdir / SNAPSHOT_NAME, generation=generation
-            ),
-        )
-
-        def _write_wal() -> None:
-            wal = WriteAheadLog(gdir / WAL_NAME)
-            try:
-                wal.checkpoint(
-                    gdir / SNAPSHOT_NAME,
-                    truncate=True,
-                    generation=generation,
-                    extra={"ingest_seq": int(ingest_seq)},
-                )
-            finally:
-                wal.close()
-
-        self.guarded("wal", _write_wal)
+        for label, write in index_dir_writes(
+            index,
+            gdir,
+            rid_map,
+            generation=generation,
+            extra={"ingest_seq": int(ingest_seq)},
+        ):
+            self.guarded(label, write)
 
         manifest = {
             "generation": int(generation),
@@ -354,7 +333,6 @@ class GenerationStore:
                 f"CURRENT names generation {current} but {gdir} is gone"
             )
         manifest = self.read_manifest(current)
-        index, report = recover(gdir / WAL_NAME)
+        index, rid_map, report = recover_index_dir(gdir)
         points = np.load(gdir / POINTS_NAME)
-        rid_map = np.load(gdir / RID_MAP_NAME)
         return index, points, rid_map, manifest, report

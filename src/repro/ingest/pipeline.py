@@ -46,14 +46,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..index import INDEX_SCHEMES
+from ..index import index_builder
 from ..index.base import VectorIndex
-from ..obs.health import HealthSampler, drift_scores, sample_gauges
-from ..recovery.recover import checkpoint
+from ..obs.health import (
+    DEFAULT_THRESHOLDS,
+    HealthSampler,
+    drift_scores,
+    sample_gauges,
+)
+from ..recovery.recover import SNAPSHOT_NAME, WAL_NAME, checkpoint
 from ..reduction.base import ReducedDataset
-from ..storage.mmap_store import MmapPageStore
 from ..storage.wal import WriteAheadLog, _encode
-from .generation import SNAPSHOT_NAME, WAL_NAME, GenerationStore
+from .generation import GenerationStore
 
 __all__ = [
     "DriftTrigger",
@@ -87,14 +91,14 @@ class IngestError(RuntimeError):
 class IngestThresholds:
     """Reorganization triggers; any one past its limit fires.
 
-    Defaults mirror :data:`repro.obs.health.DEFAULT_THRESHOLDS` so an
-    index the health report flags "warn" is exactly an index the pipeline
-    would reorganize.
+    Defaults are :data:`repro.obs.health.DEFAULT_THRESHOLDS`' values, so
+    an index the health report flags "warn" is exactly an index the
+    pipeline would reorganize.
     """
 
-    drift_score: float = 0.50
-    delta_fraction: float = 0.25
-    tombstone_fraction: float = 0.30
+    drift_score: float = DEFAULT_THRESHOLDS["mpe_drift_max"].value
+    delta_fraction: float = DEFAULT_THRESHOLDS["delta_fraction"].value
+    tombstone_fraction: float = DEFAULT_THRESHOLDS["tombstone_fraction"].value
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,8 @@ class ReorgReport:
 
 
 def translate_ids(ids: np.ndarray, rid_map: np.ndarray) -> np.ndarray:
-    """Local → global rid translation, preserving ``-1`` padding."""
+    """Local → global rid translation, preserving ``-1`` padding (an id
+    past the end of ``rid_map`` raises ``IndexError``)."""
     out = np.full_like(ids, -1)
     mask = ids >= 0
     out[mask] = rid_map[ids[mask]]
@@ -157,7 +162,7 @@ def build_from_vectors(
     vectors: Dict[int, np.ndarray],
     reduce_fn: Callable[[np.ndarray], ReducedDataset],
     scheme: str,
-    store_factory=None,
+    store: str = "memory",
 ) -> Tuple[VectorIndex, np.ndarray, np.ndarray]:
     """Compact a live ``{global_rid: vector}`` set into a fresh index.
 
@@ -167,20 +172,23 @@ def build_from_vectors(
     fingerprints comparable to a from-scratch build over the same
     committed mutation stream.
     """
-    if scheme not in INDEX_SCHEMES:
-        raise IngestError(
-            f"unknown scheme {scheme!r}; expected one of "
-            f"{sorted(INDEX_SCHEMES)}"
-        )
+    return _build_compacted(
+        vectors, reduce_fn, index_builder(scheme, store)
+    )
+
+
+def _build_compacted(
+    vectors: Dict[int, np.ndarray],
+    reduce_fn: Callable[[np.ndarray], ReducedDataset],
+    build: Callable[[ReducedDataset], VectorIndex],
+) -> Tuple[VectorIndex, np.ndarray, np.ndarray]:
     if not vectors:
         raise IngestError("cannot build a generation from zero live points")
     rid_map = np.array(sorted(vectors), dtype=np.int64)
     points = np.ascontiguousarray(
         np.stack([vectors[int(rid)] for rid in rid_map]), dtype=np.float64
     )
-    reduced = reduce_fn(points)
-    index = INDEX_SCHEMES[scheme](reduced, store_factory=store_factory)
-    return index, points, rid_map
+    return build(reduce_fn(points)), points, rid_map
 
 
 class OpLog:
@@ -263,23 +271,13 @@ class IngestPipeline:
         auto_reorg: bool = True,
         page_store: str = "memory",
     ) -> None:
-        if scheme not in INDEX_SCHEMES:
-            raise IngestError(
-                f"unknown scheme {scheme!r}; expected one of "
-                f"{sorted(INDEX_SCHEMES)}"
-            )
-        if page_store not in ("memory", "mmap"):
-            raise IngestError(
-                f"page_store must be 'memory' or 'mmap', got {page_store!r}"
-            )
+        self._build = index_builder(scheme, page_store)
         self.store = store
         self.reduce_fn = reduce_fn
-        self.scheme = scheme
         self.thresholds = (
             thresholds if thresholds is not None else IngestThresholds()
         )
         self.auto_reorg = auto_reorg
-        self.page_store = page_store
         self.sampler = HealthSampler()
         self.reorg_reports: List[ReorgReport] = []
 
@@ -324,9 +322,8 @@ class IngestPipeline:
                 f"{store.root} already holds an ingestion pipeline; "
                 "open it, or create in a fresh directory"
             )
-        factory = MmapPageStore if page_store == "mmap" else None
         index, matrix, rid_map = build_from_vectors(
-            vectors, reduce_fn, scheme, store_factory=factory
+            vectors, reduce_fn, scheme, page_store
         )
         store.install(
             index, matrix, rid_map, generation=1, ingest_seq=0, parent=None
@@ -446,14 +443,6 @@ class IngestPipeline:
     @property
     def n_live(self) -> int:
         return len(self._vectors)
-
-    @property
-    def next_global_rid(self) -> int:
-        """A fresh global rid (callers may also bring their own)."""
-        ceiling = max(self._vectors, default=-1)
-        if self._deleted:
-            ceiling = max(ceiling, max(self._deleted))
-        return ceiling + 1
 
     def _bookkeep(self, op: Op) -> None:
         """Track one applied op's rid-space effects (no index access)."""
@@ -593,11 +582,10 @@ class IngestPipeline:
             raise IngestError("pipeline is not open")
         start = time.perf_counter()
         drift_before = max(drift_scores(self.index).values(), default=0.0)
-        factory = MmapPageStore if self.page_store == "mmap" else None
 
         # Build (out of the query path: the live index is untouched).
-        new_index, matrix, rid_map = build_from_vectors(
-            self._vectors, self.reduce_fn, self.scheme, store_factory=factory
+        new_index, matrix, rid_map = _build_compacted(
+            self._vectors, self.reduce_fn, self._build
         )
         new_generation = self.generation + 1
         writes_before = self.store.clock.writes

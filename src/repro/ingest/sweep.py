@@ -89,7 +89,6 @@ def _run_workload(
     ops: Sequence[Op],
     reduce_fn: Callable[[np.ndarray], ReducedDataset],
     scheme: str,
-    page_store: str,
 ) -> IngestPipeline:
     """Create a pipeline and push the whole mutation stream through it
     (reorganization strictly manual — the sweep owns the swap timing)."""
@@ -104,7 +103,6 @@ def _run_workload(
             tombstone_fraction=float("inf"),
         ),
         auto_reorg=False,
-        page_store=page_store,
     )
     for op in ops:
         pipeline.apply(op)
@@ -119,7 +117,6 @@ def swap_crash_sweep(
     k: int,
     reduce_fn: Callable[[np.ndarray], ReducedDataset],
     scheme: str,
-    page_store: str = "memory",
     max_schedules: Optional[int] = None,
 ) -> SwapSweepReport:
     """Sweep every ``(phase, at_write)`` crash schedule of one reorg.
@@ -137,9 +134,7 @@ def swap_crash_sweep(
 
     # Clean probe: learn the two legal fingerprints and the write count.
     clean_dir = root / "clean"
-    pipeline = _run_workload(
-        clean_dir, points, ops, reduce_fn, scheme, page_store
-    )
+    pipeline = _run_workload(clean_dir, points, ops, reduce_fn, scheme)
     try:
         pre = pipeline.knn_batch(queries, k)
         pre_fp = batch_fingerprint(pre.ids, pre.distances)
@@ -152,9 +147,7 @@ def swap_crash_sweep(
     def run(crashpoint: CrashPoint) -> SwapSweepOutcome:
         phase, at_write = crashpoint.phase, crashpoint.at_write
         run_dir = root / f"crash-{phase}-{at_write:03d}"
-        pipeline = _run_workload(
-            run_dir, points, ops, reduce_fn, scheme, page_store
-        )
+        pipeline = _run_workload(run_dir, points, ops, reduce_fn, scheme)
         pipeline.store.clock.arm(crashpoint)
         try:
             pipeline.reorg()
@@ -172,7 +165,6 @@ def swap_crash_sweep(
             reduce_fn=reduce_fn,
             scheme=scheme,
             auto_reorg=False,
-            page_store=page_store,
         )
         try:
             result = recovered.knn_batch(queries, k)

@@ -27,7 +27,7 @@ import numpy as np
 from ..index.base import VectorIndex
 from ..storage.faults import PHASES, CrashError, CrashPoint
 from ..storage.wal import WriteAheadLog
-from .recover import RecoveryReport, checkpoint, recover
+from .recover import WAL_NAME, RecoveryReport, checkpoint, recover
 
 __all__ = [
     "CrashOutcome",
@@ -114,7 +114,7 @@ def _prepare(
         shutil.rmtree(workdir)
     workdir.mkdir(parents=True)
     index = build_index()
-    wal = WriteAheadLog(workdir / "wal.log")
+    wal = WriteAheadLog(workdir / WAL_NAME)
     wal_store = index.enable_wal(wal, crashpoint=crashpoint)
     checkpoint(index, workdir / "checkpoint")
     return index, wal, wal_store
@@ -164,7 +164,7 @@ def run_crashpoint(
     wal.close()  # the "process" is dead; only the files survive
     del index
 
-    recovered, report = recover(subdir / "wal.log")
+    recovered, report = recover(subdir / WAL_NAME)
     committed = report.metas_applied
     error: Optional[str] = None
 

@@ -18,13 +18,22 @@ The recovery contract (DESIGN.md §10):
   that is not page-resident) is applied via
   ``VectorIndex._apply_recovery_meta``.  There is no undo pass — nothing
   from an uncommitted transaction is ever applied.
+
+An **index directory** is the durable unit every caller above the index
+persists and reopens: ``ckpt/`` (the snapshot), ``wal.log`` (a WAL whose
+CHECKPOINT names that snapshot) and ``rid_map.npy`` (local → global rids).
+:func:`index_dir_writes` lays one out and :func:`recover_index_dir`
+reopens it; serving shards and ingest generations are both written and
+read through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..index.base import VectorIndex
 from ..obs.tracer import Tracer, ensure_tracer
@@ -42,11 +51,21 @@ from ..storage.wal import (
 
 __all__ = [
     "GenerationMismatchError",
+    "RID_MAP_NAME",
     "RecoveryError",
     "RecoveryReport",
+    "SNAPSHOT_NAME",
+    "WAL_NAME",
     "checkpoint",
+    "index_dir_writes",
     "recover",
+    "recover_index_dir",
 ]
+
+#: The three files of an index directory.
+SNAPSHOT_NAME = "ckpt"
+WAL_NAME = "wal.log"
+RID_MAP_NAME = "rid_map.npy"
 
 
 class RecoveryError(WALError):
@@ -256,3 +275,58 @@ def recover(
         checkpoint_payload=dict(ckpt.payload) if ckpt is not None else {},
     )
     return index, report
+
+
+def index_dir_writes(
+    index: VectorIndex,
+    directory: Union[str, Path],
+    rid_map: np.ndarray,
+    generation: Optional[int] = None,
+    extra: Optional[dict] = None,
+) -> List[Tuple[str, Callable[[], None]]]:
+    """The writes that lay out an index directory, as labelled steps in
+    order: the rid map, the snapshot, then a fresh WAL whose CHECKPOINT
+    names that snapshot (``generation`` and ``extra`` as in
+    :func:`checkpoint`).  The caller runs each step, so a crash clock can
+    guard them one by one."""
+    directory = Path(directory)
+    snapshot_path = directory / SNAPSHOT_NAME
+
+    def write_rid_map() -> None:
+        np.save(
+            directory / RID_MAP_NAME,
+            np.ascontiguousarray(rid_map, dtype=np.int64),
+        )
+
+    def write_snapshot() -> None:
+        save_index(index, snapshot_path, generation=generation)
+
+    def write_wal() -> None:
+        wal = WriteAheadLog(directory / WAL_NAME)
+        try:
+            wal.checkpoint(
+                snapshot_path,
+                truncate=True,
+                generation=generation,
+                extra=extra,
+            )
+        finally:
+            wal.close()
+
+    return [
+        ("rid_map", write_rid_map),
+        ("snapshot", write_snapshot),
+        ("wal", write_wal),
+    ]
+
+
+def recover_index_dir(
+    directory: Union[str, Path],
+) -> Tuple[VectorIndex, np.ndarray, RecoveryReport]:
+    """Reopen an index directory through :func:`recover`.  Returns
+    ``(index, rid_map, report)``; the index comes back WAL-detached."""
+    directory = Path(directory)
+    index, report = recover(
+        directory / WAL_NAME, snapshot_path=directory / SNAPSHOT_NAME
+    )
+    return index, np.load(directory / RID_MAP_NAME), report

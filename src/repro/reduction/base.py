@@ -69,10 +69,6 @@ class ReducedDataset:
         total += self.outliers.size * self.dimensionality
         return total / self.n_points if self.n_points else 0.0
 
-    def storage_vector_count(self) -> int:
-        """Number of stored vectors (subspace projections + raw outliers)."""
-        return sum(s.size for s in self.subspaces) + self.outliers.size
-
     def labels(self) -> np.ndarray:
         """Per-point subspace id, ``-1`` for outliers."""
         labels = np.full(self.n_points, -1, dtype=np.int64)

@@ -16,8 +16,9 @@ One logical MMDR/iDistance index is served from N shard worker processes:
   global top-K, with a per-request robustness ladder: deadline → hedge →
   bounded retry with backoff → supervised respawn → route-around
   (``partial=True`` naming the missing shards), plus a per-shard circuit
-  breaker fed by heartbeats and admission control (bounded in-flight,
-  typed :class:`~repro.serve.router.OverloadError` shed).
+  breaker fed by request failures and ``check_health()`` pings, and
+  admission control (bounded in-flight, typed
+  :class:`~repro.serve.router.OverloadError` shed).
 
 Merged answers are sha256-fingerprint-identical to the single-node index
 by construction: shards hold disjoint rid sets with bit-identical reduced

@@ -26,7 +26,7 @@ Each shard request climbs a ladder, cheapest rung first:
    silently shrinking the answer.
 
 A per-shard :class:`~repro.serve.breaker.CircuitBreaker` is fed by both
-request failures and :meth:`check_health` heartbeats (each ping waits
+request failures and :meth:`check_health` pings (each ping waits
 :data:`HEALTH_TIMEOUT_S` for its reply); while OPEN, the shard is skipped
 instantly instead of costing every request a deadline.
 Admission control bounds concurrent :meth:`knn` calls — beyond
@@ -53,7 +53,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bench.fingerprint import canonicalize_rows
-from ..index.base import InvalidQueryError, QueryStats
+from ..index.base import (
+    InvalidQueryError,
+    QueryStats,
+    check_query_block,
+    expand_valid_rows,
+)
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, ensure_tracer
 from .breaker import BreakerState, CircuitBreaker
@@ -191,9 +196,6 @@ def merge_topk(
     )
 
 
-_ZERO_STATS = QueryStats(0, 0, 0, 0, 0.0)
-
-
 def _sum_stats(
     per_shard: Sequence[Tuple[QueryStats, ...]], n_queries: int
 ) -> Tuple[QueryStats, ...]:
@@ -252,8 +254,6 @@ class Router:
         }
         self._req_seq = itertools.count(1)
         self._inflight = threading.Semaphore(self.config.max_inflight)
-        self._heartbeat_stop: Optional[threading.Event] = None
-        self._heartbeat_thread: Optional[threading.Thread] = None
         #: Shards mid-swap: excluded from the scatter (reported missing /
         #: partial via the normal degrade contract) instead of queueing
         #: requests behind the respawn.  Mutated only by rolling_swap.
@@ -409,31 +409,6 @@ class Router:
 
     # -- batch entry point ----------------------------------------------
 
-    def _validate(
-        self, queries: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Mirror single-node ``knn_batch`` validation: structural
-        problems raise, per-row problems are masked out."""
-        queries = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        )
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be (Q, d), got shape {queries.shape}"
-            )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        expected = self.supervisor.plan.dimensionality
-        if queries.shape[1] != expected:
-            raise InvalidQueryError(
-                f"queries have {queries.shape[1]} dimensions; the sharded "
-                f"index was built over {expected}-dimensional data"
-            )
-        valid = np.isfinite(queries).all(axis=1)
-        if self.supervisor.plan.metric == "cosine":
-            valid &= np.linalg.norm(queries, axis=1) > 0.0
-        return queries, valid
-
     def knn(
         self,
         queries: np.ndarray,
@@ -462,7 +437,10 @@ class Router:
     ) -> RouterResult:
         start = time.perf_counter()
         self.metrics.counter("serve.requests").inc()
-        queries, valid = self._validate(queries, k)
+        plan = self.supervisor.plan
+        queries, valid = check_query_block(
+            queries, k, plan.dimensionality, plan.metric
+        )
         invalid_rows = tuple(np.flatnonzero(~valid).tolist())
         if invalid_rows:
             self.metrics.counter("serve.invalid_queries").inc(
@@ -572,7 +550,6 @@ class Router:
         if partial:
             self.metrics.counter("serve.partial_results").inc()
 
-        n_queries = int(queries.shape[0])
         if valid_queries.shape[0] == 0:
             merged_ids = np.empty((0, 0), dtype=np.int64)
             merged_distances = np.empty((0, 0), dtype=np.float64)
@@ -589,20 +566,9 @@ class Router:
             )
 
         if invalid_rows:
-            k_cols = merged_ids.shape[1]
-            full_ids = np.full((n_queries, k_cols), -1, dtype=np.int64)
-            full_distances = np.full(
-                (n_queries, k_cols), np.nan, dtype=np.float64
+            merged_ids, merged_distances, merged_stats = expand_valid_rows(
+                merged_ids, merged_distances, merged_stats, valid
             )
-            full_ids[valid] = merged_ids
-            full_distances[valid] = merged_distances
-            stats_list: List[QueryStats] = [_ZERO_STATS] * n_queries
-            for row, s in zip(
-                np.flatnonzero(valid).tolist(), merged_stats
-            ):
-                stats_list[row] = s
-            merged_ids, merged_distances = full_ids, full_distances
-            merged_stats = tuple(stats_list)
 
         return RouterResult(
             ids=merged_ids,
@@ -726,35 +692,8 @@ class Router:
             report[sid] = entry
         return report
 
-    def start_heartbeats(self, interval_s: float = 1.0) -> None:
-        """Run :meth:`check_health` on a background daemon thread."""
-        if self._heartbeat_thread is not None:
-            return
-        stop = threading.Event()
-
-        def loop() -> None:
-            while not stop.wait(interval_s):
-                try:
-                    self.check_health()
-                except Exception:
-                    # Heartbeats must never take the router down.
-                    self.metrics.counter(
-                        "serve.heartbeat_errors"
-                    ).inc()
-
-        self._heartbeat_stop = stop
-        self._heartbeat_thread = threading.Thread(
-            target=loop, daemon=True
-        )
-        self._heartbeat_thread.start()
-
     def close(self) -> None:
-        """Stop heartbeats and shut down every worker."""
-        if self._heartbeat_stop is not None:
-            self._heartbeat_stop.set()
-            self._heartbeat_thread.join(timeout=5.0)
-            self._heartbeat_stop = None
-            self._heartbeat_thread = None
+        """Shut down every worker."""
         self.supervisor.stop()
 
     def __enter__(self) -> "Router":

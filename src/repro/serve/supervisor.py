@@ -1,13 +1,13 @@
 """Builds, checkpoints, and keeps alive one worker process per shard.
 
 ``prepare()`` turns a :class:`~repro.serve.planner.ShardPlan` into on-disk
-shard state: each shard's index is built from its local reduction, put
-under write-ahead logging, and checkpointed (snapshot + truncated WAL)
-into ``<root>/shard_<id>/``, alongside the shard's ``rid_map.npy``.  The
-supervisor then *never ships a live index to a worker*: every spawn —
-first boot and post-crash respawn alike — rebuilds from checkpoint + WAL
-via :func:`repro.recovery.recover`, so the recovery path is exercised on
-every process start, not just after disasters.
+shard state: each shard's index is built from its local reduction and
+written as an index directory (snapshot + checkpointed WAL + rid map,
+:func:`repro.recovery.index_dir_writes`) into ``<root>/shard_<id>/``.
+The supervisor then *never ships a live index to a worker*: every spawn
+— first boot and post-crash respawn alike — rebuilds from checkpoint +
+WAL via :func:`repro.recovery.recover_index_dir`, so the recovery path is
+exercised on every process start, not just after disasters.
 
 Workers are forked (one socketpair each); fork is required — the spawn
 start method would re-import and re-pickle, and the platforms this
@@ -27,17 +27,14 @@ import multiprocessing
 import socket
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Union
 
-import numpy as np
-
-from ..index import INDEX_SCHEMES
-from ..recovery import checkpoint
-from ..storage.mmap_store import MmapPageStore
+from ..index import index_builder
+from ..recovery import index_dir_writes
 from .faults import WorkerFaultSpec
 from .planner import ShardPlan
 from .protocol import FrameReader, send_message
-from .worker import RID_MAP_NAME, SNAPSHOT_NAME, WAL_NAME, worker_main
+from .worker import worker_main
 
 __all__ = ["WorkerHandle", "Supervisor"]
 
@@ -71,19 +68,9 @@ class Supervisor:
         root: Union[str, Path],
         store: str = "memory",
     ) -> None:
-        if scheme not in INDEX_SCHEMES:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; expected one of "
-                f"{sorted(INDEX_SCHEMES)}"
-            )
-        if store not in ("memory", "mmap"):
-            raise ValueError(
-                f"store must be 'memory' or 'mmap', got {store!r}"
-            )
+        self._build = index_builder(scheme, store)
         self.plan = plan
-        self.scheme = scheme
         self.root = Path(root)
-        self.store = store
         self.workers: Dict[int, WorkerHandle] = {}
         self.spawn_counts: Dict[int, int] = {}
         self._fault_specs: Dict[int, WorkerFaultSpec] = {}
@@ -106,21 +93,16 @@ class Supervisor:
         return [a.shard_id for a in self.plan.shards]
 
     def _prepare_shard(self, assignment, sdir: Path) -> None:
-        """Build + checkpoint one shard assignment into ``sdir``."""
-        factory: Optional[Callable] = (
-            MmapPageStore if self.store == "mmap" else None
-        )
-        build = INDEX_SCHEMES[self.scheme]
+        """Build one shard assignment and write its index directory."""
         sdir.mkdir(parents=True, exist_ok=True)
-        index = build(assignment.reduced, store_factory=factory)
-        index.enable_wal(sdir / WAL_NAME)
-        checkpoint(index, sdir / SNAPSHOT_NAME)
-        wal_store = index.disable_wal()
-        wal_store.wal.close()
+        index = self._build(assignment.reduced)
+        for _label, write in index_dir_writes(
+            index, sdir, assignment.rid_map
+        ):
+            write()
         # Release the build-time physical store (mmap file handles);
         # workers rehydrate their own from the snapshot.
         index.store.close()
-        np.save(sdir / RID_MAP_NAME, assignment.rid_map)
 
     def prepare(self) -> None:
         """Build + checkpoint every shard's index into its directory."""

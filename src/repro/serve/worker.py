@@ -2,12 +2,13 @@
 
 A worker is forked by the :class:`~repro.serve.supervisor.Supervisor` with
 one end of a socketpair and a shard directory on disk.  Startup *is* the
-recovery path: the worker rebuilds its index via
-:func:`repro.recovery.recover` from the shard's checkpoint snapshot +
-write-ahead log — the same code a post-crash respawn runs, so every spawn
+recovery path: the worker reopens the shard's index directory via
+:func:`repro.recovery.recover_index_dir` (checkpoint snapshot +
+write-ahead log) — the same code a post-crash respawn runs, so every spawn
 exercises real recovery rather than a happy-path loader.  The shard's
-``rid_map.npy`` translates shard-local rids back to global rids on the way
-out; the router only ever sees global ids.
+rid map translates shard-local rids back to global rids on the way out
+(:func:`repro.ingest.translate_ids`); the router only ever sees global
+ids.
 
 The loop is single-threaded and synchronous: read one framed request,
 answer it, repeat.  Robustness against a *misbehaving router* is the
@@ -28,15 +29,14 @@ import os
 import signal
 import socket
 import time
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from ..index.base import InvalidQueryError
+from ..ingest.pipeline import translate_ids
 from ..obs.tracer import Tracer
-from ..persist.snapshot import load_index
-from ..recovery import recover
+from ..recovery import recover_index_dir
 from .faults import WorkerFaultSpec
 from .protocol import (
     ConnectionLostError,
@@ -46,39 +46,7 @@ from .protocol import (
     send_message,
 )
 
-__all__ = ["WAL_NAME", "SNAPSHOT_NAME", "RID_MAP_NAME", "worker_main"]
-
-WAL_NAME = "wal.log"
-SNAPSHOT_NAME = "ckpt"
-RID_MAP_NAME = "rid_map.npy"
-
-
-def load_shard(shard_dir: Path):
-    """Recover a shard's index + rid_map from its on-disk state.
-
-    Prefers the recovery path (checkpoint + WAL) whenever a log exists;
-    falls back to the bare snapshot for shards prepared without WAL.
-    """
-    shard_dir = Path(shard_dir)
-    wal_path = shard_dir / WAL_NAME
-    if wal_path.is_file():
-        index, _report = recover(
-            wal_path, snapshot_path=shard_dir / SNAPSHOT_NAME
-        )
-    else:
-        index = load_index(shard_dir / SNAPSHOT_NAME)
-    rid_map = np.load(shard_dir / RID_MAP_NAME)
-    return index, rid_map
-
-
-def translate_ids(ids: np.ndarray, rid_map: np.ndarray) -> np.ndarray:
-    """Map shard-local rids to global rids, preserving ``-1`` fill values
-    (invalid-query rows)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if rid_map.size == 0:
-        return ids
-    safe = np.clip(ids, 0, rid_map.size - 1)
-    return np.where(ids >= 0, rid_map[safe], np.int64(-1))
+__all__ = ["worker_main"]
 
 
 def _handle_knn(index, rid_map, request: dict, shard_id: int) -> dict:
@@ -206,7 +174,7 @@ def worker_main(
     (atexit hooks, multiprocessing bookkeeping) never runs in the child.
     """
     try:
-        index, rid_map = load_shard(Path(shard_dir))
+        index, rid_map, _report = recover_index_dir(shard_dir)
         if fault_spec is not None and fault_spec.storage_plan is not None:
             index.enable_faults(fault_spec.storage_plan)
         serve_loop(sock, shard_id, index, rid_map, fault_spec)

@@ -15,13 +15,18 @@ import numpy as np
 import pytest
 
 from repro.index import INDEX_SCHEMES
-from repro.index.base import InvalidQueryError
+from repro.index.base import InvalidQueryError, QueryStats
+from repro.linalg.kernels import normalize_rows
 from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.tracer import Tracer
+from repro.reduction import MMDRReducer
 from repro.serve import (
     NoShardsAvailableError,
     OverloadError,
+    Router,
     RouterConfig,
+    ShardPlanner,
+    Supervisor,
     WorkerFaultSpec,
 )
 from repro.serve.router import canonicalize_rows
@@ -339,6 +344,40 @@ def test_invalid_query_skip_and_report(
     assert all(
         count == 1 for count in router.supervisor.spawn_counts.values()
     )
+
+
+def test_cosine_zero_row_reported_like_single_node(
+    serve_points, serve_queries, tmp_path
+):
+    """Under cosine a zero row has no direction: the router skips and
+    reports it exactly as single-node ``knn_batch`` does."""
+    reduced = MMDRReducer().reduce(
+        normalize_rows(serve_points), np.random.default_rng(1)
+    )
+    reduced.metric = "cosine"
+    queries = serve_queries.copy()
+    queries[3] = 0.0
+    single = INDEX_SCHEMES["SeqScan"](reduced).knn_batch(queries, 5)
+    plan = ShardPlanner(2, "hash").plan(reduced)
+    router = Router(
+        Supervisor(plan, "SeqScan", tmp_path), RouterConfig(deadline_s=10.0)
+    )
+    try:
+        router.supervisor.start()
+        result = router.knn(queries, 5)
+    finally:
+        router.close()
+    assert result.invalid_queries == single.invalid_queries == (3,)
+    assert not result.partial
+    np.testing.assert_array_equal(result.ids[3], single.ids[3])
+    np.testing.assert_array_equal(result.distances[3], single.distances[3])
+    assert (result.ids[3] == -1).all()
+    assert np.isnan(result.distances[3]).all()
+    assert result.stats[3] == single.stats[3] == QueryStats(0, 0, 0, 0, 0.0)
+    ids, distances = canonicalize_rows(single.ids, single.distances)
+    valid = [i for i in range(len(queries)) if i != 3]
+    np.testing.assert_array_equal(result.ids[valid], ids[valid])
+    np.testing.assert_array_equal(result.distances[valid], distances[valid])
 
 
 def test_dimension_mismatch_raises_structurally(serve_cluster):
