@@ -9,7 +9,8 @@ paper plots (iMMDR, iLDR, gLDR, sequential scan).
 Both cold-cache routes of :func:`run_workload` are bit-identical in results
 and per-query cost accounting:
 
-* sequential — the literal per-query loop;
+* sequential — the cold per-query loop,
+  :meth:`~repro.index.base.VectorIndex.knn_loop`;
 * batched — :meth:`~repro.index.base.VectorIndex.knn_batch`, sharing
   vectorized work across the workload inside one process.
 
@@ -79,39 +80,26 @@ def run_query_batch(
     cold_cache: bool = True,
     collect_ids: Optional[List[np.ndarray]] = None,
     tracer: Optional[Tracer] = None,
-    use_batch: bool = False,
 ) -> BatchCost:
     """Answer every query; return per-query cost averages.
 
     ``cold_cache=True`` clears the buffer pool before each query, making
     page counts per-query comparable (the paper reports per-query page
-    accesses); it runs :func:`run_workload`.  Pass a list as
-    ``collect_ids`` to also receive each query's answer ids (for precision
-    checks on the same run).  Pass a :class:`~repro.obs.Tracer` to record
-    per-query ``knn.query`` spans (with nested per-phase spans, for indexes
-    that emit them) across the whole batch; results are bit-identical with
-    or without one.
-
-    ``use_batch=True`` routes through :meth:`VectorIndex.knn_batch` (the
-    shared-scan fast path where the index provides one): same ids,
-    distances and per-query page/distance accounting as the per-query
-    loop, bit for bit; only wall-clock attribution differs (batch wall
-    time is apportioned equally across its queries).  It requires the
-    cold-cache protocol, since a warm cache's hit pattern depends on
-    cross-query page interleaving that a shared scan would change.
+    accesses); it runs :func:`run_workload`'s per-query loop.  Pass a
+    list as ``collect_ids`` to also receive each query's answer ids (for
+    precision checks on the same run).  Pass a :class:`~repro.obs.Tracer`
+    to record per-query ``knn.query`` spans (with nested per-phase spans,
+    for indexes that emit them) across the whole batch; results are
+    bit-identical with or without one.
     """
     tracer = ensure_tracer(tracer)
     if cold_cache:
-        ids, _, stats = run_workload(index, workload, use_batch, tracer)
+        ids, _, stats = run_workload(
+            index, workload, use_batch=False, tracer=tracer
+        )
         if collect_ids is not None:
             collect_ids.extend(ids)
         return _cost_from_stats(index, workload, stats)
-    if use_batch:
-        raise ValueError(
-            "batched execution requires cold_cache=True: warm-cache "
-            "accounting depends on cross-query page interleaving that a "
-            "shared scan would change"
-        )
     stats = []
     for query in workload.queries:
         result = index.knn(query, workload.k, tracer=tracer)
@@ -130,33 +118,18 @@ def run_workload(
     """Answer every query on a cold cache: the ``(Q, k)`` ids/distances
     matrices plus per-query stats.
 
-    ``use_batch=True`` runs one :meth:`VectorIndex.knn_batch` call;
-    ``use_batch=False`` is the literal per-query loop, clearing the buffer
-    pool before each query.  Both return the same answers and per-query
+    ``use_batch=True`` runs :meth:`VectorIndex.knn_batch`;
+    ``use_batch=False`` runs :meth:`VectorIndex.knn_loop`, the per-query
+    loop clearing the buffer pool before each query.  Both admit the
+    block alike (an invalid row comes back as ``-1`` ids, NaN distances
+    and zero stats) and return the same answers and per-query
     page/distance accounting, bit for bit.  This is the one cold-cache
     executor: :func:`run_query_batch` averages its stats, and
     :func:`measure_throughput` times its two routes.
     """
-    tracer = ensure_tracer(tracer)
-    if use_batch:
-        result = index.knn_batch(workload.queries, workload.k, tracer=tracer)
-        return result.ids, result.distances, list(result.stats)
-    id_rows: List[np.ndarray] = []
-    dist_rows: List[np.ndarray] = []
-    stats: List[QueryStats] = []
-    for query in workload.queries:
-        index.reset_cache()
-        res = index.knn(query, workload.k, tracer=tracer)
-        id_rows.append(res.ids)
-        dist_rows.append(res.distances)
-        stats.append(res.stats)
-    if not id_rows:
-        return (
-            np.empty((0, 0), dtype=np.int64),
-            np.empty((0, 0), dtype=np.float64),
-            [],
-        )
-    return np.vstack(id_rows), np.vstack(dist_rows), stats
+    answer = index.knn_batch if use_batch else index.knn_loop
+    result = answer(workload.queries, workload.k, tracer=tracer)
+    return result.ids, result.distances, list(result.stats)
 
 
 def measure_throughput(

@@ -16,7 +16,6 @@ axis system; outliers use full-dimensional L2.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -225,7 +224,7 @@ def expand_valid_rows(
     return full_ids, full_dists, tuple(full_stats)
 
 
-class VectorIndex(ABC):
+class VectorIndex:
     """A KNN index over a reduced dataset, with its own simulated storage."""
 
     #: Scheme name used in experiment tables ("iDistance", "gLDR", "SeqScan").
@@ -251,10 +250,8 @@ class VectorIndex(ABC):
         # rids, and per-subspace (count, ProjDist_r sum) of routed inserts.
         self.n_inserted = 0
         self._tombstones: set = set()
-        self._tomb_cache: Optional[np.ndarray] = None
         self._insert_residuals: Dict[int, Tuple[int, float]] = {}
 
-    @abstractmethod
     def knn(
         self,
         query: np.ndarray,
@@ -263,12 +260,62 @@ class VectorIndex(ABC):
     ) -> KNNResult:
         """The K nearest neighbors of ``query`` under the index's scoring.
 
+        ``query`` is admitted as a one-row block by :meth:`_admit` (the
+        rule :meth:`knn_batch` applies to a whole block); a row that block
+        admission would skip raises :class:`InvalidQueryError` here.
+
         Pass a :class:`~repro.obs.Tracer` to record per-phase spans (and
         per-span cost deltas) for this query; the default is a shared
         no-op tracer, under which the query's counters and results are
         bit-identical to an uninstrumented run.
         """
+        query = np.asarray(query, dtype=np.float64)
+        if query.ndim != 1:
+            raise InvalidQueryError(
+                f"query must be a 1-d vector, got shape {query.shape}"
+            )
+        admitted, valid = self._admit(query[None, :], k)
+        if not valid[0]:
+            raise InvalidQueryError(
+                "cosine similarity is undefined for the zero vector"
+                if np.isfinite(query).all()
+                else "query contains NaN or Inf components"
+            )
+        return self._answer(admitted[0], k, ensure_tracer(tracer))
+
+    def _search(
+        self, query: np.ndarray, k: int, tracer: Tracer
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The scheme's per-query engine: ids and scores of one admitted
+        query's K nearest neighbors, nearest first."""
         raise NotImplementedError
+
+    def _answer(
+        self, query: np.ndarray, k: int, tracer: Tracer
+    ) -> KNNResult:
+        """One admitted query's measured answer: :meth:`_search` under
+        :meth:`_measured`, so its stats are the cost of that search."""
+        (ids, distances), stats = self._measured(
+            self._search, query, k, tracer, tracer=tracer
+        )
+        return KNNResult(ids=ids, distances=distances, stats=stats)
+
+    def _admit(
+        self, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Query admission: :func:`check_query_block`'s rule, then unit
+        length under the cosine metric — the one place a query is
+        normalized (a second normalization of a unit vector can move
+        bits).  Returns the valid rows, ready for the search engines, and
+        the mask of valid rows over the whole block."""
+        queries, valid = check_query_block(
+            queries, k, self.query_dim, self.metric
+        )
+        if not valid.all():
+            queries = queries[valid]
+        if self.metric == "cosine":
+            queries = normalize_rows(queries)
+        return queries, valid
 
     # ------------------------------------------------------------------
     # batched execution
@@ -283,12 +330,11 @@ class VectorIndex(ABC):
         """Answer every query in ``(Q, d)`` ``queries``.
 
         Results (ids, distances) and per-query cost accounting are
-        bit-identical to a per-query :meth:`knn` loop under the cold-cache
-        protocol.  An index whose one search engine can answer a block of
-        queries at once (iDistance's shared scan) overrides
-        :meth:`_knn_batch` and runs the whole block through it, amortizing
-        per-query Python and small-kernel overhead; every other index runs
-        the cold per-query loop.
+        bit-identical to :meth:`knn_loop`, the cold per-query loop.  An
+        index whose one search engine can answer a block of queries at
+        once (iDistance's shared scan) overrides :meth:`_knn_batch` and
+        runs the whole block through it, amortizing per-query Python and
+        small-kernel overhead; every other index runs that loop.
 
         The whole call runs under one ``knn.batch`` span; a real ``tracer``
         also gets a ``knn.batch_qps`` gauge.  The index's own counters are
@@ -299,67 +345,104 @@ class VectorIndex(ABC):
         workload; a dimensionality mismatch is structural to the whole
         matrix and raises :class:`InvalidQueryError` outright.
         """
-        queries, valid = check_query_block(
-            queries, k, self.query_dim, self.metric
-        )
         tracer = ensure_tracer(tracer)
-        invalid_rows = np.flatnonzero(~valid)
-        valid_queries = queries if valid.all() else queries[valid]
-        start = time.perf_counter()
+        admitted, valid = self._admit(queries, k)
+        n_invalid = valid.size - admitted.shape[0]
         with tracer.span(
             "knn.batch",
             counters=self.counters,
             scheme=self.name,
-            n_queries=queries.shape[0],
+            n_queries=valid.size,
             k=k,
-            invalid_queries=int(invalid_rows.size),
+            invalid_queries=n_invalid,
         ):
-            ids, distances, stats = self._knn_batch(valid_queries, k, tracer)
-        wall = time.perf_counter() - start
-        if invalid_rows.size:
-            if tracer.enabled:
-                tracer.counter("knn.invalid_queries").inc(
-                    int(invalid_rows.size)
+            result = self._answer_block(
+                self._knn_batch, admitted, valid, k, tracer
+            )
+        if tracer.enabled:
+            if n_invalid:
+                tracer.counter("knn.invalid_queries").inc(n_invalid)
+            if result.wall_seconds > 0:
+                tracer.gauge("knn.batch_qps").set(
+                    valid.size / result.wall_seconds
                 )
+        return result
+
+    def knn_loop(
+        self,
+        queries: np.ndarray,
+        k: int,
+        tracer: Optional[Tracer] = None,
+    ) -> BatchKNNResult:
+        """Answer every query in ``(Q, d)`` ``queries`` through the
+        per-query engine, clearing the buffer pool before each: the cold
+        per-query reference :meth:`knn_batch` must match bit for bit.
+
+        Admission and skip-and-report are :meth:`knn_batch`'s; each row's
+        spans are those of a :meth:`knn` call, with no ``knn.batch`` span
+        around them.
+        """
+        admitted, valid = self._admit(queries, k)
+        return self._answer_block(
+            self._cold_loop, admitted, valid, k, ensure_tracer(tracer)
+        )
+
+    def _answer_block(
+        self,
+        engine: Callable[..., Tuple[np.ndarray, np.ndarray, Sequence]],
+        queries: np.ndarray,
+        valid: np.ndarray,
+        k: int,
+        tracer: Tracer,
+    ) -> BatchKNNResult:
+        """Answer the admitted rows ``queries`` with ``engine`` and spread
+        the answers over the block ``valid`` describes.  Every row is
+        ``min(k, live_count)`` wide, an empty or all-invalid block too:
+        ``engine`` never sees zero rows."""
+        start = time.perf_counter()
+        if queries.shape[0]:
+            ids, distances, stats = engine(queries, k, tracer)
+        else:
+            width = min(k, self.live_count)
+            ids = np.empty((0, width), dtype=np.int64)
+            distances = np.empty((0, width), dtype=np.float64)
+            stats = ()
+        wall = time.perf_counter() - start
+        if not valid.all():
             ids, distances, stats = expand_valid_rows(
                 ids, distances, stats, valid
             )
-        if tracer.enabled and wall > 0:
-            tracer.gauge("knn.batch_qps").set(queries.shape[0] / wall)
         return BatchKNNResult(
             ids=ids,
             distances=distances,
             stats=tuple(stats),
             wall_seconds=wall,
-            invalid_queries=tuple(invalid_rows.tolist()),
+            invalid_queries=tuple(np.flatnonzero(~valid).tolist()),
         )
 
-    def _knn_batch(
+    def _cold_loop(
         self,
         queries: np.ndarray,
         k: int,
         tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Answer a block of validated queries: ``(Q, k)`` ids/distances
-        plus per-query stats.  This reference execution is the cold
-        per-query :meth:`knn` loop; an override must match its answers
-        and page/distance/key counts bit for bit."""
-        id_rows: List[np.ndarray] = []
-        dist_rows: List[np.ndarray] = []
-        stats: List[QueryStats] = []
+        """The cold per-query loop over admitted rows: ``(Q, k)``
+        ids/distances plus per-query stats, each row answered by
+        :meth:`_answer` on an emptied buffer pool."""
+        results: List[KNNResult] = []
         for query in queries:
             self.reset_cache()
-            result = self.knn(query, k, tracer=tracer)
-            id_rows.append(result.ids)
-            dist_rows.append(result.distances)
-            stats.append(result.stats)
-        if not id_rows:
-            return (
-                np.empty((0, 0), dtype=np.int64),
-                np.empty((0, 0), dtype=np.float64),
-                [],
-            )
-        return np.vstack(id_rows), np.vstack(dist_rows), stats
+            results.append(self._answer(query, k, tracer))
+        return (
+            np.vstack([r.ids for r in results]),
+            np.vstack([r.distances for r in results]),
+            [r.stats for r in results],
+        )
+
+    #: The block engine behind :meth:`knn_batch`: the cold loop, unless a
+    #: scheme's search engine answers a block at once — an override must
+    #: match the loop's answers and page/distance/key counts bit for bit.
+    _knn_batch = _cold_loop
 
     def reset_cache(self) -> None:
         """Drop the buffer pool contents (cold-cache measurement)."""
@@ -388,38 +471,6 @@ class VectorIndex(ABC):
         kernel, bound, and counter behaves exactly as under L2."""
         reduced = getattr(self, "reduced", None)
         return getattr(reduced, "metric", "l2") if reduced is not None else "l2"
-
-    def _check_query(self, query: np.ndarray) -> np.ndarray:
-        """Validate one query vector, raising :class:`InvalidQueryError`.
-
-        Rejects non-1-d inputs, dimensionality mismatches, and NaN/Inf
-        components — all of which would otherwise flow through the distance
-        kernels and come back as confidently wrong neighbors.
-        """
-        query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1:
-            raise InvalidQueryError(
-                f"query must be a 1-d vector, got shape {query.shape}"
-            )
-        expected = self.query_dim
-        if expected is not None and query.shape[0] != expected:
-            raise InvalidQueryError(
-                f"query has {query.shape[0]} dimensions; the index was "
-                f"built over {expected}-dimensional data"
-            )
-        if not np.isfinite(query).all():
-            raise InvalidQueryError(
-                "query contains NaN or Inf components"
-            )
-        if self.metric == "cosine":
-            if float(np.linalg.norm(query)) == 0.0:
-                raise InvalidQueryError(
-                    "cosine similarity is undefined for the zero vector"
-                )
-            # Through normalize_rows (not a scalar division) so the
-            # per-query path is bit-identical to the batched one.
-            query = normalize_rows(query[None, :])[0]
-        return query
 
     def _prepare_point(self, point: np.ndarray) -> np.ndarray:
         """Canonicalize one insert vector: contiguous float64, normalized
@@ -593,36 +644,6 @@ class VectorIndex(ABC):
         reduced = getattr(self, "reduced", None)
         bulk = int(reduced.n_points) if reduced is not None else 0
         return bulk + self.n_inserted - len(self._tombstones)
-
-    def _tombstone_array(self) -> np.ndarray:
-        """Sorted int64 array of deleted rids, for vectorized filtering.
-
-        Cached by size — tombstone sets only grow, so a size match means
-        the cache is current.
-        """
-        tombs = self._tombstones
-        if not tombs:
-            return np.empty(0, dtype=np.int64)
-        cache = self._tomb_cache
-        if cache is None or cache.size != len(tombs):
-            cache = np.fromiter(
-                sorted(tombs), dtype=np.int64, count=len(tombs)
-            )
-            self._tomb_cache = cache
-        return cache
-
-    def _alive_mask(self, rids: np.ndarray) -> Optional[np.ndarray]:
-        """Boolean mask of the entries of ``rids`` that are not deleted,
-        or ``None`` when nothing is deleted (no filtering needed).
-
-        Membership runs as a ``searchsorted`` into the sorted tombstone
-        array: ``np.isin`` costs tens of microseconds a call at any size.
-        """
-        tombs = self._tombstone_array()
-        if not tombs.size:
-            return None
-        hit = np.minimum(np.searchsorted(tombs, rids), tombs.size - 1)
-        return tombs[hit] != rids
 
     @property
     def size_pages(self) -> int:

@@ -7,9 +7,10 @@ layout (§5's auxiliary arrays exist for exactly that);
 ``SequentialScan`` and ``GlobalLDRIndex`` inherit ``insert``/``delete``
 from :class:`DeltaIndex`: a single append-only :class:`DeltaStore`
 holding the dynamically inserted vectors (packed into data pages by
-byte budget), plus rid tombstones kept on the index for deletes.  Both
-are small by design — online updates accumulate between index rebuilds,
-they do not reorganize the bulk layout.
+byte budget), plus rid tombstones kept on the index for deletes,
+which a scan filters out of its candidates by rid.  Both are small by
+design — online updates accumulate between index rebuilds, they do not
+reorganize the bulk layout.
 """
 
 from __future__ import annotations
@@ -181,6 +182,7 @@ class DeltaIndex(VectorIndex):
         super().__init__(pool_pages=pool_pages, store_factory=store_factory)
         self.reduced = reduced
         self.delta = DeltaStore(self.delta_label)
+        self._tomb_cache: Optional[np.ndarray] = None
 
     def insert(
         self, point: np.ndarray, rid: int, beta: float = 0.1
@@ -223,6 +225,36 @@ class DeltaIndex(VectorIndex):
 
     def _holds(self, rid: int) -> bool:
         return 0 <= rid < self.reduced.n_points or rid in self.delta
+
+    def _tombstone_array(self) -> np.ndarray:
+        """Sorted int64 array of deleted rids, for vectorized filtering.
+
+        Cached by size — tombstone sets only grow, so a size match means
+        the cache is current.
+        """
+        tombs = self._tombstones
+        if not tombs:
+            return np.empty(0, dtype=np.int64)
+        cache = self._tomb_cache
+        if cache is None or cache.size != len(tombs):
+            cache = np.fromiter(
+                sorted(tombs), dtype=np.int64, count=len(tombs)
+            )
+            self._tomb_cache = cache
+        return cache
+
+    def _alive_mask(self, rids: np.ndarray) -> Optional[np.ndarray]:
+        """Boolean mask of the entries of ``rids`` that are not deleted,
+        or ``None`` when nothing is deleted (no filtering needed).
+
+        Membership runs as a ``searchsorted`` into the sorted tombstone
+        array: ``np.isin`` costs tens of microseconds a call at any size.
+        """
+        tombs = self._tombstone_array()
+        if not tombs.size:
+            return None
+        hit = np.minimum(np.searchsorted(tombs, rids), tombs.size - 1)
+        return tombs[hit] != rids
 
     def _delta_rids(self):
         return self.delta.rids

@@ -18,14 +18,14 @@ difference is purely structural.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors
-from .base import DEFAULT_POOL_PAGES, KNNResult
+from .base import DEFAULT_POOL_PAGES, VectorIndex
 from .dynamic import DeltaIndex
 from .hybrid_tree import HybridTree, offer_block
 
@@ -63,26 +63,12 @@ class GlobalLDRIndex(DeltaIndex):
         for _ in range(self.outlier_pages):
             self.store.allocate(("gldr-outliers",), 0)
 
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
-    ) -> KNNResult:
-        query = self._check_query(query)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            self._search, query, k, tracer, tracer=tracer
-        )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
+    # Defined on the class itself so a profiler can patch this scheme's
+    # query entry point alone.
+    knn = VectorIndex.knn
 
     def _search(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Tracer = NULL_TRACER,
+        self, query: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
         k = min(k, self.live_count)
         if k <= 0:  # every point deleted — nothing to return

@@ -61,9 +61,8 @@ from ..linalg.kernels import (
     cold_lru_physical_reads,
     flat_l2,
     multi_arange,
-    normalize_rows,
 )
-from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.tracer import NULL_TRACER, Tracer
 from ..reduction.base import ReducedDataset
 from ..btree.tree import BPlusTree
 from ..storage.buffer import BufferPool
@@ -663,29 +662,26 @@ class ExtendedIDistance(VectorIndex):
     # search
     # ------------------------------------------------------------------
 
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
+    # Defined on the class itself so a profiler can patch this scheme's
+    # query entry point alone.
+    knn = VectorIndex.knn
+
+    def _answer(
+        self, query: np.ndarray, k: int, tracer: Tracer
     ) -> KNNResult:
-        query = self._check_query(query)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            self._knn_live, query, k, tracer, tracer=tracer
-        )
+        """The base answer, plus the query's candidates and pages in the
+        tracer's per-query histograms."""
+        result = super()._answer(query, k, tracer)
         if tracer.enabled:
             tracer.histogram("knn.candidates_per_query").observe(
-                stats.distance_computations
+                result.stats.distance_computations
             )
             tracer.histogram("knn.pages_per_query").observe(
-                stats.page_reads
+                result.stats.page_reads
             )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
+        return result
 
-    def _knn_live(
+    def _search(
         self, query: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One query through :meth:`_shared_scan` with the live sink."""
@@ -707,16 +703,6 @@ class ExtendedIDistance(VectorIndex):
         """
         start = time.perf_counter()
         n_queries = queries.shape[0]
-        if n_queries == 0:
-            return (
-                np.empty((0, 0), dtype=np.int64),
-                np.empty((0, 0), dtype=np.float64),
-                [],
-            )
-        if self.metric == "cosine":
-            # knn normalizes each row in _check_query; the block is
-            # normalized here, once (normalizing twice can move bits).
-            queries = normalize_rows(queries)
         with self.counters.cpu_timer():
             ledgers = [_QueryLedger() for _ in range(n_queries)]
             ids, distances = self._shared_scan(queries, k, ledgers, tracer)

@@ -14,14 +14,14 @@ the scan; a deleted rid is still scored but filtered from the result.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors
-from .base import DEFAULT_POOL_PAGES, KNNResult
+from .base import DEFAULT_POOL_PAGES
 from .dynamic import DeltaIndex
 
 __all__ = ["SequentialScan"]
@@ -71,26 +71,8 @@ class SequentialScan(DeltaIndex):
     # search
     # ------------------------------------------------------------------
 
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
-    ) -> KNNResult:
-        query = self._check_query(query)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            self._scan, query, k, tracer, tracer=tracer
-        )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
-
-    def _scan(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Tracer = NULL_TRACER,
+    def _search(
+        self, query: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
         k = min(k, self.live_count)
         if k <= 0:  # every point deleted — nothing to return

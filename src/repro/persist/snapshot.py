@@ -27,10 +27,8 @@ import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..index import INDEX_SCHEMES
 from ..index.base import VectorIndex
-from ..index.global_ldr import GlobalLDRIndex
-from ..index.idistance import ExtendedIDistance
-from ..index.seqscan import SequentialScan
 from ..storage.pager import PageCorruptionError
 
 __all__ = [
@@ -60,10 +58,9 @@ STATE_NAME = "state.pkl"
 #: The only classes a snapshot may deserialize into.  Unpickling is powerful;
 #: restricting the declared class keeps a doctored manifest from steering the
 #: loader somewhere surprising and gives typed errors for unknown schemes.
+#: Derived from the one scheme registry, :data:`repro.index.INDEX_SCHEMES`.
 _KNOWN_CLASSES: Dict[str, type] = {
-    "ExtendedIDistance": ExtendedIDistance,
-    "GlobalLDRIndex": GlobalLDRIndex,
-    "SequentialScan": SequentialScan,
+    cls.__name__: cls for cls in INDEX_SCHEMES.values()
 }
 
 

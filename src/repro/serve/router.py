@@ -551,8 +551,9 @@ class Router:
             self.metrics.counter("serve.partial_results").inc()
 
         if valid_queries.shape[0] == 0:
-            merged_ids = np.empty((0, 0), dtype=np.int64)
-            merged_distances = np.empty((0, 0), dtype=np.float64)
+            width = min(k, plan.n_points)
+            merged_ids = np.empty((0, width), dtype=np.int64)
+            merged_distances = np.empty((0, width), dtype=np.float64)
             merged_stats: Tuple[QueryStats, ...] = ()
         else:
             ordered = [replies[sid] for sid in sorted(replies)]

@@ -50,20 +50,6 @@ class CostSnapshot:
             }
         )
 
-    def __add__(self, other: "CostSnapshot") -> "CostSnapshot":
-        """Field-wise sum — the merge operation for parallel query workers.
-
-        Addition is commutative field-by-field, but the parallel harness
-        still folds worker deltas in chunk order so float ``cpu_seconds``
-        accumulates deterministically for a given worker count.
-        """
-        return CostSnapshot(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
     @property
     def total_page_reads(self) -> int:
         """Physical page accesses: random (buffer misses) plus sequential."""
@@ -145,10 +131,10 @@ class CostCounters:
     def merge(self, delta: CostSnapshot) -> None:
         """Fold a snapshot *delta* into these counters.
 
-        Used by the batch/parallel query paths: work accounted elsewhere
-        (per-query ledgers, or a forked worker's counter set) is summed and
-        folded back so the index's own counters still reflect every query
-        it has ever answered.
+        Used by the batched query path: work accounted elsewhere (the
+        shared scan's per-query ledgers) is summed and folded back so the
+        index's own counters still reflect every query it has ever
+        answered.
         """
         for name in _SNAPSHOT_FIELD_NAMES:
             setattr(self, name, getattr(self, name) + getattr(delta, name))

@@ -3,7 +3,8 @@
 The batched engine (:meth:`VectorIndex.knn_batch`) exists purely to
 amortize per-query overhead — the contract is that results AND cold-cache
 cost accounting are bit-for-bit those of a sequential ``knn`` loop, and
-that both harness routes (``use_batch`` on and off) agree.  These tests
+that both :func:`~repro.eval.harness.run_workload` routes (``use_batch``
+on and off) agree.  These tests
 enforce that contract on every scheme, in property style: many queries,
 several k values, dynamic inserts, tracer on and off.
 """
@@ -13,7 +14,8 @@ import pytest
 
 from repro.core.mmdr import MMDR
 from repro.data.workload import QueryWorkload, sample_queries
-from repro.eval.harness import run_query_batch
+from repro.eval.harness import run_workload
+from repro.index.base import QueryStats
 from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.idistance import ExtendedIDistance
 from repro.index.seqscan import SequentialScan
@@ -208,32 +210,32 @@ class TestBatchEquivalence:
 class TestHarnessRouting:
     def test_run_query_batch_routes_agree(self, reduced, workload):
         _, red = reduced
-        ids_loop, ids_batch = [], []
-        loop = run_query_batch(
-            ExtendedIDistance(red), workload, collect_ids=ids_loop
-        )
-        batch = run_query_batch(
-            ExtendedIDistance(red),
-            workload,
-            collect_ids=ids_batch,
-            use_batch=True,
-        )
-        assert loop.mean_page_reads == batch.mean_page_reads
-        assert (
-            loop.mean_distance_computations
-            == batch.mean_distance_computations
-        )
-        for a, b in zip(ids_loop, ids_batch):
-            assert np.array_equal(a, b)
+        loop = run_workload(ExtendedIDistance(red), workload, use_batch=False)
+        batch = run_workload(ExtendedIDistance(red), workload, use_batch=True)
+        assert_equivalent(loop, batch)
 
-    def test_warm_cache_fast_paths_rejected(self, reduced, workload):
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_routes_agree_on_invalid_row(self, scheme, reduced, workload):
+        """Both routes skip a NaN row and report it as ``-1`` ids, NaN
+        distances and zero stats; every other row is answered alike."""
         _, red = reduced
-        with pytest.raises(ValueError):
-            run_query_batch(
-                ExtendedIDistance(red),
-                workload,
-                cold_cache=False,
-                use_batch=True,
+        queries = workload.queries.copy()
+        queries[4, 2] = np.nan
+        bad = QueryWorkload(queries=queries, k=workload.k)
+        keep = [row for row in range(workload.n_queries) if row != 4]
+        ref_ids, ref_dists, ref_stats = sequential_reference(
+            scheme(red), workload
+        )
+        for use_batch in (False, True):
+            ids, distances, stats = run_workload(
+                scheme(red), bad, use_batch=use_batch
+            )
+            assert (ids[4] == -1).all() and np.isnan(distances[4]).all()
+            assert stats[4] == QueryStats(0, 0, 0, 0, 0.0)
+            assert_equivalent(
+                (ref_ids[keep], ref_dists[keep], [ref_stats[r] for r in keep]),
+                (ids[keep], distances[keep], [stats[r] for r in keep]),
             )
 
 

@@ -100,6 +100,24 @@ class TestBatchSkipAndReport:
         assert res.invalid_queries == tuple(range(workload.n_queries))
         assert np.all(res.ids == -1)
 
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_all_invalid_or_empty_block_keeps_width(
+        self, scheme, n_rows, reduced, workload
+    ):
+        """An empty or all-invalid block is as wide as a mixed one:
+        ``min(k, live_count)`` columns of -1 ids and NaN distances."""
+        index = scheme(reduced)
+        poisoned = np.full((n_rows, index.query_dim), np.nan)
+        res = index.knn_batch(poisoned, workload.k)
+        width = min(workload.k, index.live_count)
+        assert width > 0
+        assert res.ids.shape == res.distances.shape == (n_rows, width)
+        assert res.invalid_queries == tuple(range(n_rows))
+        assert (res.ids == -1).all() and np.isnan(res.distances).all()
+        assert res.k == index.knn_batch(workload.queries, workload.k).k
+
     def test_dimension_mismatch_is_structural(self, reduced, workload):
         # A wrong-width matrix is a caller bug affecting every row: raise.
         index = SequentialScan(reduced)

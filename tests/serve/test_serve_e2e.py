@@ -380,6 +380,20 @@ def test_cosine_zero_row_reported_like_single_node(
     np.testing.assert_array_equal(result.distances[valid], distances[valid])
 
 
+@pytest.mark.perf_smoke
+def test_all_invalid_block_keeps_width(serve_cluster, serve_queries):
+    """A block with no valid row is as wide as an answered one:
+    ``min(k, n_points)`` columns of -1 ids and NaN distances."""
+    router = serve_cluster(n_shards=2)
+    queries = np.full((3, serve_queries.shape[1]), np.nan)
+    result = router.knn(queries, 5)
+    width = min(5, router.supervisor.plan.n_points)
+    assert result.ids.shape == result.distances.shape == (3, width)
+    assert result.invalid_queries == (0, 1, 2)
+    assert (result.ids == -1).all() and np.isnan(result.distances).all()
+    assert result.ids.shape[1] == router.knn(serve_queries, 5).ids.shape[1]
+
+
 def test_dimension_mismatch_raises_structurally(serve_cluster):
     router = serve_cluster()
     with pytest.raises(InvalidQueryError, match="dimensions"):
