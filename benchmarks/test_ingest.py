@@ -1,9 +1,9 @@
 """Continuous ingestion: drift-triggered reorg + crash + rolling swap.
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
-``benchmarks/out/BENCH_ingest.report.json``); the flat ``BENCH_ingest.json``
-at the repo root is the ``"ingest"`` :func:`repro.bench.flat_view` of that
-report
+``benchmarks/out/BENCH_ingest.report.json``); the flat
+``benchmarks/out/BENCH_ingest.json`` beside it is the ``"ingest"``
+:func:`repro.bench.flat_view` of that report
 
     {"n_points", "n_ops", "reorgs", "final_generation",
      "crash_schedules", "recovered_old", "recovered_new",
@@ -47,8 +47,7 @@ from repro.reduction import MMDRReducer
 from repro.serve import Router, RouterConfig, ShardPlanner, Supervisor
 from repro.serve.planner import mode_for_scheme
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 N_POINTS = 240
 DIMS = 8
@@ -312,7 +311,7 @@ def test_rolling_swap_under_load_and_report(
     )
     report.write(OUT_DIR / "BENCH_ingest.report.json")
     view = flat_view("ingest", report)
-    out = REPO_ROOT / "BENCH_ingest.json"
+    out = OUT_DIR / "BENCH_ingest.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(
         "\ningest: " + ", ".join(f"{k}={v}" for k, v in sorted(view.items()))

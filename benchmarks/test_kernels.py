@@ -4,7 +4,7 @@ Times each distance kernel of :mod:`repro.linalg.kernels` on
 query-path-shaped problems and the cold sequential page scan on both
 physical stores, and writes the results through ``repro.bench``: a
 versioned report at ``benchmarks/out/BENCH_kernels.report.json`` plus the
-flat ``BENCH_kernels.json`` at the repo root.
+flat ``benchmarks/out/BENCH_kernels.json`` beside it.
 
 All wall-clock numbers are **advisory** (min-of-N, machine-dependent,
 never gated).  The kernels' answers are checked against their per-query
@@ -26,8 +26,7 @@ from repro.storage.metrics import CostCounters
 from repro.storage.mmap_store import MmapPageStore
 from repro.storage.pager import PageStore
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 #: Query-path-shaped problem: a few hundred queries against a few
 #: thousand reduced vectors at the dimensionalities the indexes use.
@@ -142,7 +141,7 @@ def test_kernel_microbench_and_report():
     )
     report.write(OUT_DIR / "BENCH_kernels.report.json")
     view = {k: float(v) for k, v in advisory.items()}
-    out = REPO_ROOT / "BENCH_kernels.json"
+    out = OUT_DIR / "BENCH_kernels.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(
         "\nkernels: "

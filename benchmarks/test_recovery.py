@@ -2,7 +2,7 @@
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_recovery.report.json``); the flat
-``BENCH_recovery.json`` at the repo root is kept as the
+``benchmarks/out/BENCH_recovery.json`` beside it is the
 ``"recovery"`` :func:`repro.bench.flat_view` of that report
 
     {"n_points", "n_ops", "wal_bytes", "update_s", "update_ops_per_s",
@@ -33,8 +33,7 @@ from repro.recovery.harness import apply_op
 from repro.reduction import MMDRReducer
 from repro.storage.wal import WriteAheadLog
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 # The only 10k-point checkpoint + recover() leg: gated in CI's smoke step.
 pytestmark = pytest.mark.crash_smoke
@@ -143,7 +142,7 @@ def test_recovery_time_and_report(tmp_path):
     )
     report.write(OUT_DIR / "BENCH_recovery.report.json")
     view = flat_view("recovery", report)
-    out = REPO_ROOT / "BENCH_recovery.json"
+    out = OUT_DIR / "BENCH_recovery.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(
         "\nrecovery: "

@@ -1,9 +1,9 @@
 """Sharded serving: merged-answer identity gate + open-loop load numbers.
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
-``benchmarks/out/BENCH_serve.report.json``); the flat ``BENCH_serve.json``
-at the repo root is the ``"serve"`` :func:`repro.bench.flat_view` of that
-report
+``benchmarks/out/BENCH_serve.report.json``); the flat
+``benchmarks/out/BENCH_serve.json`` beside it is the ``"serve"``
+:func:`repro.bench.flat_view` of that report
 
     {"n_shards", "n_requests", "arrival_rate_hz", "n_partial", "respawns",
      "retries", "qps", "p50_ms", "p99_ms"}
@@ -45,8 +45,7 @@ from repro.serve.router import canonicalize_rows
 
 import multiprocessing
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 N_SHARDS = 3
 N_REQUESTS = 40
@@ -241,7 +240,7 @@ def test_sustained_load_with_midrun_crash_and_report(dataset, tmp_path):
     )
     report.write(OUT_DIR / "BENCH_serve.report.json")
     view = flat_view("serve", report)
-    out = REPO_ROOT / "BENCH_serve.json"
+    out = OUT_DIR / "BENCH_serve.json"
     out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
     print(
         "\nserve: " + ", ".join(f"{k}={v}" for k, v in sorted(view.items()))

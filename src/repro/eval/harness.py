@@ -21,13 +21,18 @@ whose router stitches every shard's spans into one trace.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..data.workload import QueryWorkload
-from ..index.base import QueryStats, VectorIndex
+from ..index.base import (
+    BatchKNNResult,
+    QueryStats,
+    VectorIndex,
+    stack_answers,
+)
 from ..obs.tracer import Tracer, ensure_tracer
 from ..index.global_ldr import GlobalLDRIndex
 from ..index.idistance import ExtendedIDistance
@@ -45,7 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchCost:
-    """Per-query averages over one workload on one index."""
+    """Per-query averages over the answered queries of one workload on
+    one index."""
 
     scheme: str
     mean_page_reads: float
@@ -53,24 +59,54 @@ class BatchCost:
     median_cpu_seconds: float
     mean_cpu_work: float
     mean_distance_computations: float
+    #: Queries answered: the averages' denominator.
     n_queries: int
     index_pages: int
+    #: Workload rows admission skipped (NaN/Inf components; zero vectors
+    #: under the cosine metric), left out of the averages.
+    invalid_queries: int = 0
 
 
-def _cost_from_stats(
-    index: VectorIndex, workload: QueryWorkload, stats: List[QueryStats]
+def _cost_from_result(
+    index: VectorIndex, result: BatchKNNResult
 ) -> BatchCost:
+    skipped = set(result.invalid_queries)
+    stats = [s for row, s in enumerate(result.stats) if row not in skipped]
+
+    def summarize(reduce: Callable, field: str) -> float:
+        values = [getattr(s, field) for s in stats]
+        return float(reduce(values)) if values else float("nan")
+
     return BatchCost(
         scheme=index.name,
-        mean_page_reads=float(np.mean([s.page_reads for s in stats])),
-        mean_cpu_seconds=float(np.mean([s.cpu_seconds for s in stats])),
-        median_cpu_seconds=float(np.median([s.cpu_seconds for s in stats])),
-        mean_cpu_work=float(np.mean([s.cpu_work for s in stats])),
-        mean_distance_computations=float(
-            np.mean([s.distance_computations for s in stats])
+        mean_page_reads=summarize(np.mean, "page_reads"),
+        mean_cpu_seconds=summarize(np.mean, "cpu_seconds"),
+        median_cpu_seconds=summarize(np.median, "cpu_seconds"),
+        mean_cpu_work=summarize(np.mean, "cpu_work"),
+        mean_distance_computations=summarize(
+            np.mean, "distance_computations"
         ),
-        n_queries=workload.n_queries,
+        n_queries=len(stats),
         index_pages=index.size_pages,
+        invalid_queries=len(skipped),
+    )
+
+
+def _warm_loop(
+    index: VectorIndex, workload: QueryWorkload, tracer: Tracer
+) -> BatchKNNResult:
+    """:meth:`~repro.index.base.VectorIndex.knn_loop` without its cache
+    resets: the same admission and skip-and-report, each row answered on
+    the buffer pool the rows before it left warm."""
+
+    def answer_rows(queries, k, tracer):
+        return stack_answers(
+            [index._answer(query, k, tracer) for query in queries]
+        )
+
+    admitted, valid = index._admit(workload.queries, workload.k)
+    return index._answer_block(
+        answer_rows, admitted, valid, workload.k, tracer
     )
 
 
@@ -85,28 +121,25 @@ def run_query_batch(
 
     ``cold_cache=True`` clears the buffer pool before each query, making
     page counts per-query comparable (the paper reports per-query page
-    accesses); it runs :func:`run_workload`'s per-query loop.  Pass a
-    list as ``collect_ids`` to also receive each query's answer ids (for
-    precision checks on the same run).  Pass a :class:`~repro.obs.Tracer`
-    to record per-query ``knn.query`` spans (with nested per-phase spans,
-    for indexes that emit them) across the whole batch; results are
-    bit-identical with or without one.
+    accesses); it runs :func:`run_workload`'s per-query loop
+    (:meth:`~repro.index.base.VectorIndex.knn_loop`).  Both settings
+    admit the workload alike: a row admission skips is left out of the
+    averages and counted in :attr:`BatchCost.invalid_queries`.
+    Pass a list as ``collect_ids`` to also receive each row's answer ids
+    (``-1`` for a skipped row), for precision checks on the same run.
+    Pass a :class:`~repro.obs.Tracer` to record per-query ``knn.query``
+    spans (with nested per-phase spans, for indexes that emit them)
+    across the whole batch; results are bit-identical with or without
+    one.
     """
     tracer = ensure_tracer(tracer)
     if cold_cache:
-        ids, _, stats = run_workload(
-            index, workload, use_batch=False, tracer=tracer
-        )
-        if collect_ids is not None:
-            collect_ids.extend(ids)
-        return _cost_from_stats(index, workload, stats)
-    stats = []
-    for query in workload.queries:
-        result = index.knn(query, workload.k, tracer=tracer)
-        stats.append(result.stats)
-        if collect_ids is not None:
-            collect_ids.append(result.ids)
-    return _cost_from_stats(index, workload, stats)
+        result = index.knn_loop(workload.queries, workload.k, tracer=tracer)
+    else:
+        result = _warm_loop(index, workload, tracer)
+    if collect_ids is not None:
+        collect_ids.extend(result.ids)
+    return _cost_from_result(index, result)
 
 
 def run_workload(
@@ -123,9 +156,9 @@ def run_workload(
     loop clearing the buffer pool before each query.  Both admit the
     block alike (an invalid row comes back as ``-1`` ids, NaN distances
     and zero stats) and return the same answers and per-query
-    page/distance accounting, bit for bit.  This is the one cold-cache
-    executor: :func:`run_query_batch` averages its stats, and
-    :func:`measure_throughput` times its two routes.
+    page/distance accounting, bit for bit.  :func:`measure_throughput`
+    times its two routes; :func:`run_query_batch` averages the
+    ``use_batch=False`` route's stats over the rows it answered.
     """
     answer = index.knn_batch if use_batch else index.knn_loop
     result = answer(workload.queries, workload.k, tracer=tracer)
@@ -201,18 +234,9 @@ def compare_index_schemes(
     }
     if include_seqscan:
         builders["SeqScan"] = lambda: SequentialScan(reduced_ldr)
-    results: Dict[str, BatchCost] = {}
-    for label, build in builders.items():
-        index = build()
-        cost = run_query_batch(index, workload)
-        results[label] = BatchCost(
-            scheme=label,
-            mean_page_reads=cost.mean_page_reads,
-            mean_cpu_seconds=cost.mean_cpu_seconds,
-            median_cpu_seconds=cost.median_cpu_seconds,
-            mean_cpu_work=cost.mean_cpu_work,
-            mean_distance_computations=cost.mean_distance_computations,
-            n_queries=cost.n_queries,
-            index_pages=cost.index_pages,
+    return {
+        label: replace(
+            run_query_batch(build(), workload), scheme=label
         )
-    return results
+        for label, build in builders.items()
+    }

@@ -42,6 +42,7 @@ __all__ = [
     "VectorIndex",
     "check_query_block",
     "expand_valid_rows",
+    "stack_answers",
 ]
 
 
@@ -222,6 +223,18 @@ def expand_valid_rows(
     for row, s in zip(np.flatnonzero(valid).tolist(), stats):
         full_stats[row] = s
     return full_ids, full_dists, tuple(full_stats)
+
+
+def stack_answers(
+    results: Sequence[KNNResult],
+) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
+    """Per-query answers as one block engine's output: the ``(Q, k)``
+    ids and distances plus the per-query stats."""
+    return (
+        np.vstack([r.ids for r in results]),
+        np.vstack([r.distances for r in results]),
+        [r.stats for r in results],
+    )
 
 
 class VectorIndex:
@@ -433,11 +446,7 @@ class VectorIndex:
         for query in queries:
             self.reset_cache()
             results.append(self._answer(query, k, tracer))
-        return (
-            np.vstack([r.ids for r in results]),
-            np.vstack([r.distances for r in results]),
-            [r.stats for r in results],
-        )
+        return stack_answers(results)
 
     #: The block engine behind :meth:`knn_batch`: the cold loop, unless a
     #: scheme's search engine answers a block at once — an override must

@@ -22,6 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..linalg.kernels import flat_l2
 from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors
@@ -62,6 +63,24 @@ class GlobalLDRIndex(DeltaIndex):
         )
         for _ in range(self.outlier_pages):
             self.store.allocate(("gldr-outliers",), 0)
+        self._derive_outlier_columns()
+
+    def _derive_outlier_columns(self) -> None:
+        """The outliers as the C-contiguous ``(d, n)`` block ``flat_l2``
+        scores.  It is derived from ``reduced``: a snapshot leaves it out
+        and loading rebuilds it."""
+        self._outlier_columns = np.ascontiguousarray(
+            self.reduced.outliers.points.T
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_outlier_columns"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive_outlier_columns()
 
     # Defined on the class itself so a profiler can patch this scheme's
     # query entry point alone.
@@ -98,12 +117,9 @@ class GlobalLDRIndex(DeltaIndex):
                 outliers=int(outliers.size),
             ):
                 self.counters.count_sequential_read(self.outlier_pages)
-                # np.linalg.norm(points - query, axis=1), op for op, with
-                # one temporary instead of three.
-                diff = outliers.points - query
-                np.multiply(diff, diff, out=diff)
-                dists = np.add.reduce(diff, axis=1)
-                np.sqrt(dists, out=dists)
+                dists = flat_l2(
+                    self._outlier_columns, slice(None), query[:, None], 0
+                )
                 self.counters.count_distance(
                     outliers.size, dims=self.reduced.dimensionality
                 )

@@ -187,7 +187,10 @@ def recover(
             "path was given; there is no baseline state to recover onto"
         )
     if snapshot_path is None:
-        snapshot_path = ckpt.payload["snapshot"]
+        # Relative to the log's directory; logs written before snapshot
+        # paths were stored relative hold absolute ones, which the join
+        # keeps as they are.
+        snapshot_path = wal_path.parent / ckpt.payload["snapshot"]
     checkpoint_lsn = ckpt.lsn if ckpt is not None else 0
 
     # Generation cross-check (DESIGN.md §15): a CHECKPOINT stamped with a

@@ -53,6 +53,7 @@ deterministically.
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
 import zlib
@@ -432,6 +433,10 @@ class WriteAheadLog:
         along in the CHECKPOINT payload for caller-level watermarks (the
         ingest pipeline stores its oplog sequence there); the reserved
         ``snapshot``/``generation`` keys cannot be overridden.
+
+        A snapshot under the log's directory is recorded relative to it,
+        so the record's bytes do not depend on where that directory lies;
+        any other snapshot is recorded by its absolute path.
         """
         if self._active is not None:
             raise WALProtocolError(
@@ -448,7 +453,11 @@ class WriteAheadLog:
                     f"{sorted(reserved)}"
                 )
             payload.update(extra)
-        payload["snapshot"] = str(snapshot_path)
+        snapshot = os.path.abspath(snapshot_path)
+        directory = os.path.abspath(self.path.parent)
+        if os.path.commonpath([snapshot, directory]) == directory:
+            snapshot = os.path.relpath(snapshot, directory)
+        payload["snapshot"] = snapshot
         if generation is not None:
             payload["generation"] = int(generation)
         frame = _encode(lsn, 0, CHECKPOINT, payload)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.data.workload import sample_queries
+from repro.data.workload import QueryWorkload, sample_queries
 from repro.eval.harness import compare_index_schemes, run_query_batch
 from repro.eval.reporting import format_series, format_table
 from repro.index.idistance import ExtendedIDistance
+from repro.index.seqscan import SequentialScan
 from repro.reduction.ldr import LDRReducer
 from repro.reduction.mmdr_adapter import MMDRReducer
 
@@ -93,6 +94,32 @@ class TestRunQueryBatch:
         assert len(ids) == workload.n_queries
         assert all(batch.size == 10 for batch in ids)
 
+    @pytest.mark.parametrize("cold_cache", [True, False])
+    def test_skipped_rows_are_counted_not_averaged(
+        self, small_setup, cold_cache
+    ):
+        """A NaN row is skipped and reported on both routes: it enters
+        neither the averages nor ``n_queries``, and its collected ids are
+        ``-1``."""
+        _, workload, _, ldr = small_setup
+        queries = workload.queries[:5].copy()
+        queries[2, 0] = np.nan
+        index = SequentialScan(ldr)
+        pages = {index.knn(q, 10).stats.page_reads for q in queries[[0, 1]]}
+        assert len(pages) == 1  # a scan reads the same pages every query
+        ids = []
+        cost = run_query_batch(
+            index, QueryWorkload(queries=queries, k=10),
+            cold_cache=cold_cache, collect_ids=ids,
+        )
+        assert cost.n_queries == 4
+        assert cost.invalid_queries == 1
+        assert cost.mean_page_reads == pages.pop()
+        assert cost.mean_distance_computations == ldr.n_points
+        assert len(ids) == 5
+        assert (ids[2] == -1).all()
+        assert all((row >= 0).all() for i, row in enumerate(ids) if i != 2)
+
 
 class TestCompareSchemes:
     def test_full_panel(self, small_setup):
@@ -102,6 +129,8 @@ class TestCompareSchemes:
         for label, cost in panel.items():
             assert cost.scheme == label
             assert cost.mean_page_reads > 0
+            assert cost.n_queries == workload.n_queries
+            assert cost.invalid_queries == 0
 
     def test_seqscan_optional(self, small_setup):
         _, workload, mmdr, ldr = small_setup

@@ -1,7 +1,10 @@
 """Sequential scan and gLDR composite index, and the brute-force
 exactness check every scheme in ``INDEX_SCHEMES`` must pass."""
 
+import copyreg
 import dataclasses
+import io
+import pickle
 
 import numpy as np
 import pytest
@@ -266,6 +269,57 @@ class TestGlobalLDR:
         data, red = ldr_reduced
         with pytest.raises(ValueError):
             GlobalLDRIndex(red).knn(data[0], -1)
+
+    def test_outlier_columns_stay_out_of_the_pickle(self, ldr_reduced):
+        """The outliers' column block is derived state: a pickle leaves
+        it out and loading rebuilds it."""
+        _, red = ldr_reduced
+        blob = pickle.dumps(GlobalLDRIndex(red))
+        assert b"_outlier_columns" not in blob
+        columns = pickle.loads(blob)._outlier_columns
+        assert columns.flags.c_contiguous
+        assert np.array_equal(columns, red.outliers.points.T)
+
+    def test_pickle_without_the_column_copy_answers_bit_identically(
+        self, ldr_reduced
+    ):
+        """An index pickled as its bare ``__dict__`` without the column
+        block (the layout snapshots had before the block existed) has the
+        same bytes as a pickle of today's index, loads, and answers with
+        the same ids, distance bits and counts."""
+        data, red = ldr_reduced
+        index = GlobalLDRIndex(red)
+        index.delete(int(red.outliers.member_ids[0]))
+        bare = {
+            key: value
+            for key, value in index.__dict__.items()
+            if key != "_outlier_columns"
+        }
+
+        class BareDictPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if obj is index:
+                    return copyreg.__newobj__, (GlobalLDRIndex,), bare
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        BareDictPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(index)
+        blob = buffer.getvalue()
+        assert blob == pickle.dumps(index, pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(blob)
+        for query in data[:12]:
+            index.reset_cache()
+            loaded.reset_cache()
+            a, b = index.knn(query, 10), loaded.knn(query, 10)
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(
+                a.distances.view(np.int64), b.distances.view(np.int64)
+            )
+            assert a.stats.page_reads == b.stats.page_reads
+            assert (
+                a.stats.distance_computations
+                == b.stats.distance_computations
+            )
 
     def test_outlier_ties_and_counts_pinned(self, ldr_reduced):
         """Duplicate outlier rows, scattered through the scan order with

@@ -1,5 +1,7 @@
 """Unit tests for the batch-scan kernels and their bit-identity contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,21 @@ class TestFlatL2:
         before = columns.copy()
         flat_l2(columns, slice(None), np.ones((4, 1)), 0)
         assert np.array_equal(columns, before)
+
+    def test_wide_contiguous_run_makes_no_block_sized_temporary(self, rng):
+        """A large contiguous run is streamed a few coordinate rows at a
+        time: the call's peak allocation stays under a quarter of the
+        block (forming the whole ``(d, n)`` difference would take all of
+        it)."""
+        columns = np.ascontiguousarray(rng.normal(size=(64, 20_000)))
+        query = np.ascontiguousarray(rng.normal(size=(64, 1)))
+        tracemalloc.start()
+        try:
+            flat_l2(columns, slice(None), query, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < columns.nbytes / 4
 
     def test_empty(self):
         out = flat_l2(

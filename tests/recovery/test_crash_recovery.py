@@ -27,7 +27,7 @@ from repro.recovery import (
 from repro.recovery.harness import apply_op
 from repro.reduction.mmdr_adapter import MMDRReducer
 from repro.storage.mmap_store import MmapPageStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import CHECKPOINT, WriteAheadLog
 
 SCHEMES = [ExtendedIDistance, SequentialScan, GlobalLDRIndex]
 
@@ -206,6 +206,55 @@ def test_recovered_index_resumes_logging(setting, tmp_path):
         got, want = final.knn(query, 5), reference.knn(query, 5)
         assert np.array_equal(got.ids, want.ids)
         assert np.array_equal(got.distances, want.distances)
+
+
+class TestCheckpointSnapshotPath:
+    """A CHECKPOINT record names a snapshot under the log's directory
+    relative to it, so the log's bytes do not depend on where that
+    directory lies."""
+
+    def test_wal_bytes_do_not_depend_on_the_directory(
+        self, setting, tmp_path
+    ):
+        ds, reduced, ops = setting
+        sizes = []
+        for name in ("a", "a-much-longer-directory-name-for-the-same-log"):
+            root = tmp_path / name
+            index = ExtendedIDistance(reduced)
+            wal = WriteAheadLog(root / "wal.log")
+            index.enable_wal(wal)
+            checkpoint(index, root / "ckpt0")
+            for op in ops[:4]:
+                apply_op(index, op)
+            checkpoint(index, root / "ckpt1")
+            for op in ops[4:8]:
+                apply_op(index, op)
+            wal.close()
+            sizes.append((root / "wal.log").stat().st_size)
+            recovered, report = recover(root / "wal.log")
+            assert report.snapshot_path == str(root / "ckpt1")
+            assert report.committed_txns == 4
+            assert recovered.live_count == index.live_count
+        assert sizes[0] == sizes[1]
+
+    def test_log_holding_an_absolute_snapshot_path_recovers(
+        self, setting, tmp_path
+    ):
+        """Logs written before snapshot paths were stored relative hold
+        the absolute path."""
+        ds, reduced, ops = setting
+        index = SequentialScan(reduced)
+        save_index(index, tmp_path / "ckpt")
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal.append(CHECKPOINT, {"snapshot": str(tmp_path / "ckpt")})
+        index.enable_wal(wal)
+        for op in ops[:2]:
+            apply_op(index, op)
+        wal.close()
+        recovered, report = recover(tmp_path / "wal.log")
+        assert report.snapshot_path == str(tmp_path / "ckpt")
+        assert report.committed_txns == 2
+        assert recovered.live_count == index.live_count
 
 
 class TestGenerationCrossCheck:
