@@ -9,11 +9,11 @@ Python versions and CPU load.  This package turns them into an enforced
 trajectory:
 
 * :class:`WorkloadSpec` — a declarative, fully seeded workload (dataset,
-  scheme, build params, query set, fault plan, update stream);
-* :func:`run_bench` — executes the workload through four execution modes
-  (sequential, batched, transient-fault-injected, and crash-recovered
-  after an update stream) and requires their **result fingerprints** —
-  stable hashes over KNN ids + quantized distances — to agree;
+  scheme, build params, query set, update stream);
+* :func:`run_bench` — executes the workload through three execution
+  modes (sequential, batched, and crash-recovered after an update
+  stream) and requires their **result fingerprints** — stable hashes
+  over KNN ids + quantized distances — to agree;
 * :class:`BenchReport` — the versioned JSON artifact: logical counters
   (gate-eligible), advisory wall-clock numbers (never gating), and the
   fingerprints;

@@ -3,17 +3,21 @@
 One :func:`run_bench` call proves two things about a
 :class:`~repro.bench.spec.WorkloadSpec` and records the evidence:
 
-1. **Answer stability.**  The same seeded workload is answered four ways —
-   the sequential per-query loop, the batched engine, the sequential loop
-   under a transient-read fault plan, and (after an online update stream)
-   both the live mutated index and its crash-recovered twin rebuilt from
-   checkpoint + WAL.  Every mode's result fingerprint must agree with its
-   reference, or :class:`FingerprintMismatch` is raised — a wrong answer
-   is a hard failure, not a metric.
+1. **Answer stability.**  The same seeded workload is answered three
+   ways — the sequential per-query loop, the batched engine, and (after
+   an online update stream) both the live mutated index and its
+   crash-recovered twin rebuilt from checkpoint + WAL.  Every mode's
+   result fingerprint must agree with its reference, or
+   :class:`FingerprintMismatch` is raised — a wrong answer is a hard
+   failure, not a metric.
 2. **Logical cost.**  Machine-independent counters are collected from the
    cold-cache sequential leg (the paper's per-query measurement protocol)
-   plus the fault and recovery machinery, and wall-clock observations are
-   kept strictly advisory.
+   plus the recovery machinery, and wall-clock observations are kept
+   strictly advisory.
+
+Fault tolerance is not a leg here: transient read faults, crashes and
+every query path are checked against one exact-scan reference by the
+stateful oracle (``tests/oracle``).
 
 The produced :class:`~repro.bench.report.BenchReport` is what the
 regression gate compares against committed baselines.
@@ -29,7 +33,6 @@ from typing import Optional, Union
 
 from ..eval.harness import run_workload
 from ..obs.health import HealthSampler
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, ensure_tracer
 from ..recovery import WAL_NAME, checkpoint, recover
 from ..recovery.harness import apply_op
@@ -44,10 +47,10 @@ __all__ = ["FingerprintMismatch", "run_bench"]
 class FingerprintMismatch(AssertionError):
     """Two execution modes of the same workload returned different answers.
 
-    This is the benchmark's correctness gate firing: sequential, batched,
-    fault-injected and crash-recovered execution are bit-identical by
-    contract, so a mismatch means a fast path, the fault retry path, or
-    recovery broke — whatever the cost counters say.
+    This is the benchmark's correctness gate firing: sequential, batched
+    and crash-recovered execution are bit-identical by contract, so a
+    mismatch means a fast path or recovery broke — whatever the cost
+    counters say.
     """
 
 
@@ -81,9 +84,6 @@ def run_bench(
     fingerprints: dict = {}
     sampler = HealthSampler()
     sampler.sample(index, label="build")
-    # One registry reused across instrumented legs, reset between modes so
-    # one leg's fault counters cannot leak into another's.
-    leg_metrics = MetricsRegistry()
 
     # Leg 1 — sequential cold-cache loop: the counter reference.
     with tracer.span(
@@ -137,37 +137,6 @@ def run_bench(
         round(warm_hits / warm_total, 6) if warm_total else 0.0
     )
 
-    # Leg 3 — transient read faults: same answers, observable retries.
-    plan = spec.build_fault_plan()
-    leg_metrics.reset()
-    faulty = index.enable_faults(plan, metrics=leg_metrics)
-    try:
-        with tracer.span(
-            "bench.faulted", counters=index.counters, spec=spec.name
-        ):
-            fault_ids, fault_dists, _ = run_workload(
-                index, workload, use_batch=False
-            )
-    finally:
-        index.disable_faults()
-    fingerprints["faulted"] = result_fingerprint(fault_ids, fault_dists)
-    _require_match(
-        "faulted",
-        fingerprints["faulted"],
-        fingerprints["sequential"],
-        spec.name,
-    )
-    fault_counters = faulty.fault_metrics.counters
-    counters["faults_injected"] = int(
-        fault_counters["faults.injected"].value
-        if "faults.injected" in fault_counters
-        else 0
-    )
-    counters["faults_retried"] = int(
-        fault_counters["faults.retried"].value
-        if "faults.retried" in fault_counters
-        else 0
-    )
     sampler.sample(index, label="queries")
 
     advisory.update(
@@ -178,7 +147,7 @@ def run_bench(
         speedup_batch=wall_sequential / wall_batch,
     )
 
-    # Leg 4 — online updates under WAL, then crash recovery: the live
+    # Leg 3 — online updates under WAL, then crash recovery: the live
     # mutated index and its recovered twin must answer identically.
     if spec.has_updates:
         ops = spec.build_ops(points, reduced.n_points)

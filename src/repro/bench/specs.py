@@ -2,8 +2,8 @@
 
 One smoke-sized workload per index scheme, chosen so the whole gate runs
 in well under a minute on CI while still exercising every layer: MMDR /
-LDR reduction, index build, cold-cache KNN, the batched engine, transient
-faults, online updates under WAL, checkpointing and recovery.
+LDR reduction, index build, cold-cache KNN, the batched engine, online
+updates under WAL, checkpointing and recovery.
 
 Baselines for these specs are committed under ``benchmarks/baselines/``;
 a new workload added here gates nothing until ``python -m repro.bench

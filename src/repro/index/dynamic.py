@@ -8,9 +8,11 @@ layout (§5's auxiliary arrays exist for exactly that);
 from :class:`DeltaIndex`: a single append-only :class:`DeltaStore`
 holding the dynamically inserted vectors (packed into data pages by
 byte budget), plus rid tombstones kept on the index for deletes,
-which a scan filters out of its candidates by rid.  Both are small by
-design — online updates accumulate between index rebuilds, they do not
-reorganize the bulk layout.
+which a scan filters out of its candidates by rid.  Both also score
+their bulk outliers alike: one ``flat_l2`` call over a column block
+derived from the reduction, never stored in a snapshot.  Deltas are
+small by design — online updates accumulate between index rebuilds,
+they do not reorganize the bulk layout.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..linalg.kernels import flat_l2
 from ..reduction.base import ReducedDataset
 from ..storage.metrics import CostCounters
 from ..storage.pager import PAGE_SIZE, PageStore, vector_bytes
@@ -183,6 +186,35 @@ class DeltaIndex(VectorIndex):
         self.reduced = reduced
         self.delta = DeltaStore(self.delta_label)
         self._tomb_cache: Optional[np.ndarray] = None
+        self._derive_outlier_columns()
+
+    def _derive_outlier_columns(self) -> None:
+        """The outliers as the C-contiguous ``(d, n)`` block ``flat_l2``
+        scores.  It is derived from ``reduced``: a snapshot leaves it out
+        and loading rebuilds it."""
+        self._outlier_columns = np.ascontiguousarray(
+            self.reduced.outliers.points.T
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_outlier_columns"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive_outlier_columns()
+
+    def _outlier_distances(self, query: np.ndarray) -> np.ndarray:
+        """Full-dimensional L2 from ``query`` to every bulk outlier, in
+        member order, charged at the original dimensionality."""
+        dists = flat_l2(
+            self._outlier_columns, slice(None), query[:, None], 0
+        )
+        self.counters.count_distance(
+            dists.size, dims=self.reduced.dimensionality
+        )
+        return dists
 
     def insert(
         self, point: np.ndarray, rid: int, beta: float = 0.1

@@ -106,12 +106,8 @@ class SequentialScan(DeltaIndex):
             )
         outliers = self.reduced.outliers
         if outliers.size:
-            diff = outliers.points - query
-            dist_chunks.append(np.linalg.norm(diff, axis=1))
+            dist_chunks.append(self._outlier_distances(query))
             id_chunks.append(outliers.member_ids)
-            self.counters.count_distance(
-                outliers.size, dims=self.reduced.dimensionality
-            )
         if len(self.delta):
             dist_chunks.append(
                 self.delta.distances(query, q_projs, self.counters)

@@ -13,7 +13,7 @@ One logical MMDR/iDistance index is served from N shard worker processes:
   respawning crashed workers through real snapshot + WAL recovery;
 * :class:`~repro.serve.router.Router` scatter-gathers per-shard top-K over
   a length-prefixed CRC-framed socket protocol and merges into the exact
-  global top-K, with a per-request robustness ladder: deadline → hedge →
+  global top-K, with a per-request robustness ladder: deadline →
   bounded retry with backoff → supervised respawn → route-around
   (``partial=True`` naming the missing shards), plus a per-shard circuit
   breaker fed by request failures and ``check_health()`` pings, and

@@ -11,20 +11,20 @@ ladder has a rung for:
 ``kill_on_request``  SIGKILL mid-request → EOF at the router
                      (``ConnectionLostError``) → supervised respawn.
 ``hang_on_request``  Sleep ``hang_s`` before replying → deadline expiry
-                     at the router → hedge and/or retry.
+                     at the router → retry.
 ``garble_on_request`` Reply with a bit-flipped payload (CRC intact
                      length prefix) → ``GarbledFrameError`` → retry on
                      the same, still-aligned connection.
 ``drop_on_request``  Swallow the reply entirely → deadline expiry with
-                     a healthy worker → the hedged duplicate wins.
+                     a healthy worker → the retry answers.
 ==================  ====================================================
 
 Ordinals are 1-based and count every KNN request the worker *receives* —
-hedged duplicates and retries included, which is what makes "the retry
-succeeds" deterministic: the fault fired on request 1, the retry is
-request 2.  ``persistent=False`` (default) means the fault belongs to one
-process life: the supervisor drops the spec on respawn, so recovery
-genuinely recovers.  ``persistent=True`` re-arms the spec in every
+retries included, which is what makes "the retry succeeds"
+deterministic: the fault fired on request 1, the retry is request 2.
+``persistent=False`` (default) means the fault belongs to one process
+life: the supervisor drops the spec on respawn, so recovery genuinely
+recovers.  ``persistent=True`` re-arms the spec in every
 respawned worker — the route-around rung (a shard that never comes back).
 
 ``storage_plan`` additionally wraps the worker's store in a seeded

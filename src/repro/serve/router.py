@@ -10,17 +10,14 @@ index.
 Each shard request climbs a ladder, cheapest rung first:
 
 1. **deadline** — every attempt has ``deadline_s`` to produce a reply;
-2. **hedge** — after ``hedge_after_s`` without a reply a duplicate
-   request is sent on the same channel; first reply wins, the straggler
-   is drained as a stale response.  Covers dropped replies without
-   waiting out the full deadline;
-3. **retry with backoff** — up to ``max_attempts`` fresh attempts, each
-   with a new request id, backing off exponentially.  Garbled frames are
-   retried on the same (still-aligned) connection;
-4. **respawn** — an EOF means the worker died: the supervisor forks a
+2. **retry with backoff** — up to ``max_attempts`` fresh attempts, each
+   with a new request id, backing off exponentially.  A reply to an
+   abandoned attempt is drained as a stale response by its request id.
+   Garbled frames are retried on the same (still-aligned) connection;
+3. **respawn** — an EOF means the worker died: the supervisor forks a
    fresh one from checkpoint + WAL before the next attempt.  A second
    consecutive timeout means the worker is hung, and is respawned too;
-5. **route around** — a shard that exhausts its attempts (or whose
+4. **route around** — a shard that exhausts its attempts (or whose
    circuit breaker is open) is excluded from the merge; the result says
    so (``partial=True`` + ``missing_shards``) rather than blocking or
    silently shrinking the answer.
@@ -114,9 +111,6 @@ class RouterConfig:
     max_attempts: int = 3
     #: Backoff before the 2nd attempt; doubles each further attempt.
     backoff_s: float = 0.02
-    #: Send a hedged duplicate after this many seconds without a reply;
-    #: ``None`` disables hedging.
-    hedge_after_s: Optional[float] = None
     #: Consecutive failures that trip a shard's breaker OPEN.
     breaker_failure_threshold: int = 3
     #: Seconds an OPEN breaker waits before admitting a half-open probe.
@@ -267,49 +261,24 @@ class Router:
     def _read_reply(
         self, channel: _ShardChannel, handle, request: dict
     ) -> dict:
-        """Send one request (+ optional hedge) and read its matching
-        reply.  Raises ``socket.timeout`` / ``GarbledFrameError`` /
+        """Send one request and read its matching reply within the
+        deadline.  Raises ``socket.timeout`` / ``GarbledFrameError`` /
         ``ConnectionLostError``."""
         deadline_s = self.config.deadline_s
-        hedge_after_s = self.config.hedge_after_s
         send_message(handle.sock, request)
-        copies = 1
-        start = self._clock()
-        hard_deadline = start + deadline_s
-        hedge_at = (
-            start + hedge_after_s if hedge_after_s is not None else None
-        )
+        hard_deadline = self._clock() + deadline_s
         while True:
-            now = self._clock()
-            if now >= hard_deadline:
+            wait = hard_deadline - self._clock()
+            if wait <= 0:
                 raise socket.timeout(
                     f"shard {channel.shard_id} missed its "
                     f"{deadline_s:.3f}s deadline"
                 )
-            wait = hard_deadline - now
-            if copies == 1 and hedge_at is not None:
-                if now >= hedge_at:
-                    duplicate = dict(request)
-                    duplicate["dup"] = True
-                    send_message(handle.sock, duplicate)
-                    copies = 2
-                    self.metrics.counter("serve.hedges").inc()
-                    continue
-                wait = min(wait, hedge_at - now)
-            try:
-                reply = handle.reader.read_message(timeout=wait)
-            except socket.timeout:
-                continue  # the loop decides: hedge now, or deadline out
-            if reply.get("req_id") != request["req_id"]:
-                # Straggler from a hedged pair or an abandoned attempt.
-                self.metrics.counter("serve.stale_responses").inc()
-                continue
-            if copies == 2:
-                won = bool(reply.get("dup"))
-                self.metrics.counter(
-                    "serve.hedges_won" if won else "serve.hedges_wasted"
-                ).inc()
-            return reply
+            reply = handle.reader.read_message(timeout=wait)
+            if reply.get("req_id") == request["req_id"]:
+                return reply
+            # The late reply to an abandoned attempt.
+            self.metrics.counter("serve.stale_responses").inc()
 
     def _respawn(self, shard_id: int) -> None:
         self.metrics.counter("serve.respawns").inc()

@@ -15,8 +15,8 @@ answer it, repeat.  Robustness against a *misbehaving router* is the
 frame CRC; robustness against a *misbehaving worker* is the router's
 ladder, driven deterministically by the optional
 :class:`~repro.serve.faults.WorkerFaultSpec` (kill / hang / garble / drop
-on the N-th request this process received — hedged duplicates count, which
-is what makes "the retry succeeds" reproducible).
+on the N-th request this process received — retries count, which is what
+makes "the retry succeeds" reproducible).
 
 Per-request exceptions become typed error replies, never a dead worker:
 an :class:`~repro.index.base.InvalidQueryError` must not look like a
@@ -66,7 +66,6 @@ def _handle_knn(index, rid_map, request: dict, shard_id: int) -> dict:
         "op": "knn_result",
         "req_id": request["req_id"],
         "shard": shard_id,
-        "dup": bool(request.get("dup", False)),
         "ids": translate_ids(result.ids, rid_map),
         "distances": result.distances,
         "stats": result.stats,

@@ -23,6 +23,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown WorkloadSpec fields"):
             WorkloadSpec.from_dict(data)
 
+    def test_retired_fields_are_dropped(self):
+        """A baseline written while the spec still carried the retired
+        fault-leg knobs re-runs as the same workload."""
+        spec = WorkloadSpec(**TINY)
+        data = dict(spec.to_dict(), fault_seed=7, transient_read_prob=0.05)
+        assert WorkloadSpec.from_dict(data) == spec
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             WorkloadSpec(**dict(TINY, scheme="btree"))

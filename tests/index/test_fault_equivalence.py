@@ -1,11 +1,12 @@
-"""Transient-only fault plans must leave KNN results bit-identical.
+"""Fault-injection layering, tracing and typed corruption.
 
-The self-healing contract (DESIGN.md §9): when every injected fault is
-recoverable (transient reads with ``transient_repeat`` below the retry
-budget, no corruption), the retry path absorbs them all and results AND
-cold-cache cost accounting match a fault-free run bit for bit — faults cost
-wall-clock only, never answers and never accounting, because retries re-run
-the store fetch without re-counting the physical read.
+The self-healing contract (DESIGN.md §9) — recoverable transient reads
+change neither answers nor cold-cache accounting — is checked against
+the exact scan by the oracle's fault window (``tests/oracle``).  What
+stays here pins something else: a traced faulted run injects and
+retries exactly what an untraced one does, enabling and disabling
+faults is reversible and refuses to stack over the WAL, and corruption
+surfaces as a typed error.
 """
 
 import numpy as np
@@ -21,8 +22,9 @@ from repro.reduction.mmdr_adapter import model_to_reduced
 from repro.storage.faults import FaultPlan
 from repro.storage.pager import PageCorruptionError
 
-# The CI fault-smoke gate: transient faults must not change results and
-# corruption must surface as typed errors (see .github/workflows/ci.yml).
+# The CI fault-smoke gate, beside the oracle's fault window: corruption
+# surfaces as typed errors and the store layers stay reversible (see
+# .github/workflows/ci.yml).
 pytestmark = pytest.mark.fault_smoke
 
 
@@ -53,14 +55,8 @@ TRANSIENT_PLAN = FaultPlan(
 
 
 def run_sequential(index, workload):
-    ids, dists, stats = [], [], []
-    for query in workload.queries:
-        index.reset_cache()
-        res = index.knn(query, workload.k)
-        ids.append(res.ids)
-        dists.append(res.distances)
-        stats.append(res.stats)
-    return np.vstack(ids), np.vstack(dists), stats
+    res = index.knn_loop(workload.queries, workload.k)
+    return res.ids, res.distances, list(res.stats)
 
 
 def assert_identical(clean, faulty):
@@ -73,31 +69,6 @@ def assert_identical(clean, faulty):
 
 
 class TestTransientFaultEquivalence:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_knn_loop_bit_identical(self, scheme, reduced, workload):
-        clean = run_sequential(scheme(reduced), workload)
-        index = scheme(reduced)
-        faulty = index.enable_faults(TRANSIENT_PLAN)
-        assert_identical(clean, run_sequential(index, workload))
-        if scheme is not SequentialScan:  # seqscan never pages randomly
-            assert faulty.faults_injected > 0
-            assert (
-                faulty.fault_metrics.counter("faults.retried").value
-                >= faulty.faults_injected
-            )
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_knn_batch_bit_identical(self, scheme, reduced, workload):
-        clean_index = scheme(reduced)
-        clean = clean_index.knn_batch(workload.queries, workload.k)
-        index = scheme(reduced)
-        index.enable_faults(TRANSIENT_PLAN)
-        res = index.knn_batch(workload.queries, workload.k)
-        assert_identical(
-            (clean.ids, clean.distances, list(clean.stats)),
-            (res.ids, res.distances, list(res.stats)),
-        )
-
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_zero_overhead_invariant_on_faulted_path(
         self, scheme, reduced, workload
@@ -113,14 +84,8 @@ class TestTransientFaultEquivalence:
         traced_index = scheme(reduced)
         traced_faulty = traced_index.enable_faults(TRANSIENT_PLAN)
         tracer = Tracer()
-        ids, dists, stats = [], [], []
-        for query in workload.queries:
-            traced_index.reset_cache()
-            res = traced_index.knn(query, workload.k, tracer=tracer)
-            ids.append(res.ids)
-            dists.append(res.distances)
-            stats.append(res.stats)
-        traced = (np.vstack(ids), np.vstack(dists), stats)
+        res = traced_index.knn_loop(workload.queries, workload.k, tracer)
+        traced = (res.ids, res.distances, list(res.stats))
 
         assert_identical(plain, traced)
         for a, b in zip(plain[2], traced[2]):

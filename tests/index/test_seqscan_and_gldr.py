@@ -1,5 +1,6 @@
 """Sequential scan and gLDR composite index, and the brute-force
-exactness check every scheme in ``INDEX_SCHEMES`` must pass."""
+exactness check every scheme in ``INDEX_SCHEMES`` must pass on an LDR
+reduction, against the differential oracle's model."""
 
 import copyreg
 import dataclasses
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.subspace import OutlierSet
-from repro.eval.precision import reduced_knn
 from repro.index import INDEX_SCHEMES
 from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.seqscan import SequentialScan
@@ -18,6 +18,8 @@ from repro.linalg.kernels import normalize_rows
 from repro.reduction.ldr import LDRReducer
 from repro.storage.mmap_store import MmapPageStore
 from repro.storage.pager import pages_for_vectors
+
+from ..oracle.model import Model
 
 
 @pytest.fixture(scope="module")
@@ -55,55 +57,24 @@ def ldr_cosine_reduced(ldr_data):
     return ldr_data, red
 
 
-def _frame_point(red, point):
-    """``point`` as the index stores it: unit length under cosine."""
-    point = np.asarray(point, dtype=np.float64)
-    if red.metric == "cosine":
-        return normalize_rows(point[None, :])[0]
-    return point
+def _model(red, data):
+    """The oracle's model of ``red``'s bulk state (``tests/oracle``)."""
+    points = normalize_rows(data) if red.metric == "cosine" else data
+    return Model(red, dict(enumerate(points)))
 
 
-def _bulk_frames(red):
-    """Live rid -> (subspace index or -1 for outliers, frame vector)."""
-    frames = {}
-    for sidx, subspace in enumerate(red.subspaces):
-        for rid, vec in zip(subspace.member_ids, subspace.projections):
-            frames[int(rid)] = (sidx, vec)
-    for rid, vec in zip(red.outliers.member_ids, red.outliers.points):
-        frames[int(rid)] = (-1, vec)
-    return frames
-
-
-def _brute_force_knn(red, frames, queries, k):
-    """Exact top-``k`` by scanning every live frame vector."""
-    groups = {}
-    for rid in sorted(frames):
-        sidx, vec = frames[rid]
-        groups.setdefault(sidx, ([], []))
-        groups[sidx][0].append(rid)
-        groups[sidx][1].append(vec)
-    rids = np.concatenate(
-        [np.asarray(g[0], dtype=np.int64) for g in groups.values()]
-    )
-    blocks = {sidx: np.vstack(g[1]) for sidx, g in groups.items()}
+def _brute_force_knn(model, queries, k):
+    """Exact top-``k`` by the model's scan of every live frame vector."""
     ids = np.empty((len(queries), k), dtype=np.int64)
     dists = np.empty((len(queries), k))
     for qi, query in enumerate(queries):
-        query = _frame_point(red, query)
-        scores = np.concatenate([
-            np.linalg.norm(
-                block
-                - (red.subspaces[sidx].project(query) if sidx >= 0 else query),
-                axis=1,
-            )
-            for sidx, block in blocks.items()
-        ])
-        order = np.argsort(scores, kind="stable")[:k]
+        rids, scores = model.scan(model.admit(query))
+        order = np.lexsort((rids, scores))[:k]
         ids[qi], dists[qi] = rids[order], scores[order]
     return ids, dists
 
 
-def _mutate(index, red, data, frames):
+def _mutate(index, red, data, model):
     """Insert jittered copies of early points (some route to a subspace,
     some are stored as full-``d`` outliers) and one far outlier point,
     then delete bulk outliers, bulk tree members and inserted rids of
@@ -119,15 +90,12 @@ def _mutate(index, red, data, frames):
     inserted = {}
     for point in points + [outlier]:
         sidx = index.insert(point, next_rid)
-        point = _frame_point(red, point)
-        frames[next_rid] = (
-            (sidx, red.subspaces[sidx].project(point))
-            if sidx >= 0
-            else (-1, point)
-        )
+        point = model.admit(point)
+        vector = red.subspaces[sidx].project(point) if sidx >= 0 else point
+        model.add(next_rid, point, sidx, vector)
         inserted.setdefault(sidx >= 0, []).append(next_rid)
         next_rid += 1
-    assert frames[next_rid - 1][0] == -1  # the far point is an outlier
+    assert sidx == -1  # the far point is an outlier
     labels = red.labels()
     doomed = (
         np.flatnonzero(labels < 0)[:2].tolist()
@@ -137,19 +105,31 @@ def _mutate(index, red, data, frames):
     )
     for rid in doomed:
         index.delete(rid)
-        del frames[rid]
+        model.remove(rid)
     return outlier
 
 
-class TestSequentialScan:
-    def test_exact_under_reduced_scoring(self, ldr_reduced):
-        data, red = ldr_reduced
-        scan = SequentialScan(red)
-        truth = reduced_knn(red, data[:15], 10)
-        for qi, query in enumerate(data[:15]):
-            result = scan.knn(query, 10)
-            assert set(result.ids.tolist()) == set(truth[qi].tolist())
+def _bare_dict_pickle(index):
+    """``index`` pickled as its bare ``__dict__`` without the outlier
+    column block: the layout snapshots had before the block existed."""
+    bare = {
+        key: value
+        for key, value in index.__dict__.items()
+        if key != "_outlier_columns"
+    }
 
+    class BareDictPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is index:
+                return copyreg.__newobj__, (type(index),), bare
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    BareDictPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(index)
+    return buffer.getvalue()
+
+
+class TestSequentialScan:
     def test_io_is_constant_and_matches_page_math(self, ldr_reduced):
         data, red = ldr_reduced
         scan = SequentialScan(red)
@@ -171,6 +151,18 @@ class TestSequentialScan:
         with pytest.raises(ValueError):
             SequentialScan(red).knn(data[0], 0)
 
+    def test_outlier_columns_stay_out_of_the_pickle(self, ldr_reduced):
+        """SeqScan scores its outliers from gLDR's derived column block:
+        the pickle keeps the bytes it had before the block existed, and
+        loading rebuilds the block."""
+        _, red = ldr_reduced
+        index = SequentialScan(red)
+        blob = pickle.dumps(index, pickle.HIGHEST_PROTOCOL)
+        assert blob == _bare_dict_pickle(index)
+        columns = pickle.loads(blob)._outlier_columns
+        assert columns.flags.c_contiguous
+        assert np.array_equal(columns, red.outliers.points.T)
+
 
 @pytest.mark.parametrize("scheme", list(INDEX_SCHEMES.values()))
 @pytest.mark.parametrize("metric", ["l2", "cosine"])
@@ -189,12 +181,12 @@ def test_exact_against_brute_force(
         red, store_factory=MmapPageStore if store == "mmap" else None
     )
     try:
-        frames = _bulk_frames(red)
+        model = _model(red, data)
         queries = data[:25]
         if state == "mutated":
-            outlier = _mutate(index, red, data, frames)
+            outlier = _mutate(index, red, data, model)
             queries = np.vstack([queries, outlier])
-        want_ids, want_dists = _brute_force_knn(red, frames, queries, 10)
+        want_ids, want_dists = _brute_force_knn(model, queries, 10)
         if method == "knn":
             results = [index.knn(query, 10) for query in queries]
             got_ids = np.vstack([r.ids for r in results])
@@ -227,14 +219,6 @@ def test_insert_rejects_a_live_or_deleted_rid(scheme, ldr_reduced):
 
 
 class TestGlobalLDR:
-    def test_exact_under_reduced_scoring(self, ldr_reduced):
-        data, red = ldr_reduced
-        index = GlobalLDRIndex(red)
-        truth = reduced_knn(red, data[:15], 10)
-        for qi, query in enumerate(data[:15]):
-            result = index.knn(query, 10)
-            assert set(result.ids.tolist()) == set(truth[qi].tolist())
-
     def test_one_tree_per_subspace(self, ldr_reduced):
         _, red = ldr_reduced
         index = GlobalLDRIndex(red)
@@ -247,15 +231,6 @@ class TestGlobalLDR:
             pytest.skip("reduction produced no outliers")
         result = index.knn(data[0], 10)
         assert result.stats.page_reads >= index.outlier_pages
-
-    def test_agrees_with_seqscan(self, ldr_reduced):
-        data, red = ldr_reduced
-        gldr = GlobalLDRIndex(red)
-        scan = SequentialScan(red)
-        for query in data[:10]:
-            a = gldr.knn(query, 10)
-            b = scan.knn(query, 10)
-            assert set(a.ids.tolist()) == set(b.ids.tolist())
 
     def test_prunes_relative_to_scan(self, ldr_reduced):
         data, red = ldr_reduced
@@ -290,21 +265,7 @@ class TestGlobalLDR:
         data, red = ldr_reduced
         index = GlobalLDRIndex(red)
         index.delete(int(red.outliers.member_ids[0]))
-        bare = {
-            key: value
-            for key, value in index.__dict__.items()
-            if key != "_outlier_columns"
-        }
-
-        class BareDictPickler(pickle.Pickler):
-            def reducer_override(self, obj):
-                if obj is index:
-                    return copyreg.__newobj__, (GlobalLDRIndex,), bare
-                return NotImplemented
-
-        buffer = io.BytesIO()
-        BareDictPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(index)
-        blob = buffer.getvalue()
+        blob = _bare_dict_pickle(index)
         assert blob == pickle.dumps(index, pickle.HIGHEST_PROTOCOL)
         loaded = pickle.loads(blob)
         for query in data[:12]:

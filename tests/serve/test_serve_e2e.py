@@ -1,7 +1,7 @@
 """End-to-end sharded serving: exact merges and every ladder rung.
 
-Each rung of the router's degrade ladder (retry, hedge, respawn,
-route-around, shed) is driven by a deterministic
+Each rung of the router's degrade ladder (retry, respawn, route-around,
+shed) is driven by a deterministic
 :class:`~repro.serve.faults.WorkerFaultSpec` — the fault fires on a known
 request ordinal in a known process, so every test asserts the *specific*
 rung it provoked via the ``serve.*`` metrics, not just "it survived".
@@ -105,45 +105,22 @@ def test_crash_respawn_recovers_exact_answer(
     assert router.supervisor.spawn_counts[0] == 2
 
 
-def test_dropped_reply_won_by_hedge(
+def test_dropped_reply_retried_after_deadline(
     serve_cluster, serve_queries, baselines
 ):
-    """Rung: hedge.  The worker swallows reply #1; the hedged duplicate
-    (request #2 to the same healthy worker) answers well before the
-    deadline, and the win is attributed to the hedge."""
+    """Rung: deadline + retry.  The worker swallows reply #1, so the
+    attempt times out against a healthy worker; the retry (request #2 to
+    the same process) answers exactly, with no respawn."""
     router = serve_cluster(
         fault_specs={0: WorkerFaultSpec(drop_on_request=1)},
-        config=RouterConfig(deadline_s=10.0, hedge_after_s=0.15),
+        config=RouterConfig(deadline_s=0.3, max_attempts=3),
     )
     result = router.knn(serve_queries, 5)
     assert not result.partial
     assert_exact(result, baselines["SeqScan"])
-    assert router.metrics.counter("serve.hedges").value >= 1
-    assert router.metrics.counter("serve.hedges_won").value >= 1
-
-
-def test_slow_reply_wastes_hedge_and_drains_straggler(
-    serve_cluster, serve_queries, baselines
-):
-    """A reply that is merely slow (past the hedge threshold, within the
-    deadline) makes the hedge wasted work: the primary wins, the
-    straggler reply is drained as stale on the next request."""
-    router = serve_cluster(
-        fault_specs={
-            0: WorkerFaultSpec(hang_on_request=1, hang_s=0.4)
-        },
-        config=RouterConfig(deadline_s=10.0, hedge_after_s=0.1),
-    )
-    first = router.knn(serve_queries, 5)
-    assert not first.partial
-    assert_exact(first, baselines["SeqScan"])
-    assert router.metrics.counter("serve.hedges").value >= 1
-    assert router.metrics.counter("serve.hedges_wasted").value >= 1
-    # The duplicate's answer is still in flight; the next request must
-    # discard it by req_id rather than serve a stale payload.
-    second = router.knn(serve_queries, 5)
-    assert_exact(second, baselines["SeqScan"])
-    assert router.metrics.counter("serve.stale_responses").value >= 1
+    assert router.metrics.counter("serve.timeouts").value == 1
+    assert router.metrics.counter("serve.retries").value == 1
+    assert router.supervisor.spawn_counts[0] == 1
 
 
 def test_garbled_frame_retried_on_aligned_stream(
@@ -168,18 +145,23 @@ def test_timeout_retry_without_respawn(
 ):
     """Rung: deadline + retry.  One hang longer than the deadline times
     the attempt out; the worker is alive, so the first recourse is a
-    plain retry — which succeeds against the now-idle worker."""
+    plain retry on the same connection.  The hung attempt's late reply
+    arrives first and is drained as stale by its request id, never
+    served; the retry's own reply answers, and so does the next call."""
     router = serve_cluster(
         fault_specs={
-            0: WorkerFaultSpec(hang_on_request=1, hang_s=0.8)
+            0: WorkerFaultSpec(hang_on_request=1, hang_s=0.7)
         },
-        config=RouterConfig(deadline_s=0.3, max_attempts=3),
+        config=RouterConfig(deadline_s=0.5, max_attempts=3),
     )
     result = router.knn(serve_queries, 5)
     assert not result.partial
     assert_exact(result, baselines["SeqScan"])
-    assert router.metrics.counter("serve.timeouts").value >= 1
-    assert router.metrics.counter("serve.retries").value >= 1
+    assert router.metrics.counter("serve.timeouts").value == 1
+    assert router.metrics.counter("serve.retries").value == 1
+    assert router.metrics.counter("serve.stale_responses").value >= 1
+    assert router.supervisor.spawn_counts[0] == 1
+    assert_exact(router.knn(serve_queries, 5), baselines["SeqScan"])
 
 
 @pytest.mark.serve_smoke
