@@ -163,7 +163,7 @@ class BPlusTree:
         the key comparisons it would charge, computed *without* touching the
         buffer pool or counters.
 
-        iDistance's recording sink (``_QueryLedger``, used by
+        iDistance's recording sink (``_BlockLedger``, used by
         ``knn_batch``) logs tree descents through this instead of the
         shared pool; this keeps the replayed I/O and CPU accounting exactly
         equal to the live descent its live sink runs for ``knn``.  Replay

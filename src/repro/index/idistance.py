@@ -61,6 +61,8 @@ from ..linalg.kernels import (
     cold_lru_physical_reads,
     flat_l2,
     multi_arange,
+    row_dots,
+    row_gemv,
 )
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..reduction.base import ReducedDataset
@@ -112,20 +114,22 @@ class _Partition:
         return np.asarray(query, dtype=np.float64)
 
 
-class _QueryLedger:
-    """Recording cost sink: one query's costs in a :meth:`knn_batch` block.
+class _BlockLedger:
+    """Recording cost sink: every query's costs in a :meth:`knn_batch` block.
 
     A batch never routes I/O through the shared buffer pool — interleaving
     queries would corrupt each query's cold-cache accounting.  Instead
-    every page read the cold query would issue is recorded here in program
-    order as an inclusive page-id range (tree descents via
+    every page read a cold query would issue is recorded here as an
+    inclusive page-id range ``(query, lo, hi)``, one array chunk per scan
+    step in program order (tree descents via
     :meth:`~repro.btree.tree.BPlusTree.descend_path`), and
-    :func:`_settle_ledgers` replays the expanded sequence against an LRU
-    of the pool's capacity to recover the exact logical/physical read
-    counts.
+    :func:`_settle_ledger` replays each query's expanded sequence against
+    an LRU of the pool's capacity to recover the exact logical/physical
+    read counts.
     """
 
     __slots__ = (
+        "queries",
         "page_lo",
         "page_hi",
         "key_comparisons",
@@ -133,83 +137,77 @@ class _QueryLedger:
         "distance_flops",
     )
 
-    def __init__(self) -> None:
-        self.page_lo: List[int] = []
-        self.page_hi: List[int] = []
-        self.key_comparisons = 0
-        self.distance_computations = 0
-        self.distance_flops = 0
+    def __init__(self, n_queries: int) -> None:
+        self.queries: List[np.ndarray] = []
+        self.page_lo: List[np.ndarray] = []
+        self.page_hi: List[np.ndarray] = []
+        self.key_comparisons = [0] * n_queries
+        self.distance_computations = [0] * n_queries
+        self.distance_flops = [0] * n_queries
 
-    def read_range(self, lo: int, hi: int) -> None:
-        """Record reads of the contiguous page ids ``lo..hi`` inclusive."""
-        self.page_lo.append(lo)
-        self.page_hi.append(hi)
+    def read(self, queries: List[int], lo: List[int], hi: List[int]) -> None:
+        """Record reads of the page ids ``lo[i]..hi[i]`` (inclusive) by
+        query ``queries[i]``, in list order."""
+        self.queries.append(np.array(queries, dtype=np.int64))
+        self.page_lo.append(np.array(lo, dtype=np.int64))
+        self.page_hi.append(np.array(hi, dtype=np.int64))
 
-    def descend(self, tree: BPlusTree, key: float) -> None:
-        pages, comparisons = tree.descend_path(key)
-        for page in pages:
-            self.read_range(page, page)
-        self.key_comparisons += comparisons
+    def descend(
+        self, tree: BPlusTree, queries: List[int], keys: List[float]
+    ) -> None:
+        """One tree descent per query, to its key."""
+        owner: List[int] = []
+        pages: List[int] = []
+        for qi, key in zip(queries, keys):
+            path, comparisons = tree.descend_path(key)
+            owner.extend([qi] * len(path))
+            pages.extend(path)
+            self.key_comparisons[qi] += comparisons
+        self.read(owner, pages, pages)
 
-    def count_scan(self, n: int, dims: int) -> None:
-        """``n`` scanned entries: one key comparison and one distance each."""
-        self.key_comparisons += n
-        self.distance_computations += n
-        self.distance_flops += n * dims
-
-    def count_distance(self, n: int, dims: int) -> None:
-        self.distance_computations += n
-        self.distance_flops += n * dims
-
-    def page_sequence(self) -> np.ndarray:
-        """The full page-read sequence, ranges expanded, in read order."""
-        return multi_arange(
-            np.asarray(self.page_lo, dtype=np.int64),
-            np.asarray(self.page_hi, dtype=np.int64) + 1,
-        )
+    def count(self, query: int, n: int, dims: int, scanned: bool) -> None:
+        """``n`` distances of ``dims`` coordinates for ``query``, and as
+        many key comparisons for ``scanned`` (window) entries."""
+        if scanned:
+            self.key_comparisons[query] += n
+        self.distance_computations[query] += n
+        self.distance_flops[query] += n * dims
 
 
-def _settle_ledgers(
-    ledgers: List["_QueryLedger"], capacity: int
+def _settle_ledger(
+    ledger: _BlockLedger, n_queries: int, capacity: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(logical, physical)`` read counts for every ledger at once.
+    """``(logical, physical)`` read counts for every query of a ledger.
 
-    Equivalent to an exact cold-LRU replay of each ledger's page
-    sequence, but the common case — every query's working set fits the
-    pool, so physical reads = distinct pages — is answered with ONE
-    combined unique over all queries (page ids offset into disjoint
-    per-query blocks).  Only queries whose distinct count exceeds the
-    capacity fall back to the exact per-query LRU replay.
+    Equivalent to an exact cold-LRU replay of each query's page sequence,
+    but the common case — every query's working set fits the pool, so
+    physical reads = distinct pages — is answered with ONE combined sort
+    over all queries (page ids offset into disjoint per-query blocks;
+    ``np.unique`` took 10x as long on a 32-row block).  Only queries whose
+    distinct count exceeds the capacity fall back to the exact per-query
+    LRU replay.
     """
-    n = len(ledgers)
-    logical = np.zeros(n, dtype=np.int64)
-    physical = np.zeros(n, dtype=np.int64)
-    if n == 0:
+    logical = np.zeros(n_queries, dtype=np.int64)
+    physical = np.zeros(n_queries, dtype=np.int64)
+    if not ledger.queries:
         return logical, physical
-    lens = np.array(
-        [len(led.page_lo) for led in ledgers], dtype=np.int64
-    )
-    if not lens.any():
-        return logical, physical
-    los = np.concatenate(
-        [np.asarray(led.page_lo, dtype=np.int64) for led in ledgers]
-    )
-    his = np.concatenate(
-        [np.asarray(led.page_hi, dtype=np.int64) for led in ledgers]
-    )
-    pages = multi_arange(los, his + 1)
+    los = np.concatenate(ledger.page_lo)
+    his = np.concatenate(ledger.page_hi)
     run_lens = his - los + 1
-    query_of_page = np.repeat(
-        np.repeat(np.arange(n, dtype=np.int64), lens), run_lens
-    )
-    logical = np.bincount(query_of_page, minlength=n)
+    pages = multi_arange(los, his + 1)
+    query_of_page = np.repeat(np.concatenate(ledger.queries), run_lens)
+    logical = np.bincount(query_of_page, minlength=n_queries)
     stride = int(pages.max()) + 1 if pages.size else 1
-    distinct_keys = np.unique(query_of_page * stride + pages)
-    physical = np.bincount(distinct_keys // stride, minlength=n)
+    keys = np.sort(query_of_page * stride + pages)
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    physical = np.bincount(keys[first] // stride, minlength=n_queries)
     over = np.flatnonzero(physical > capacity)
     for qi in over.tolist():
+        # Chunks are in program order, so each query's pages are too.
         physical[qi] = cold_lru_physical_reads(
-            ledgers[qi].page_sequence(), capacity
+            pages[query_of_page == qi], capacity
         )
     return logical, physical
 
@@ -217,7 +215,7 @@ def _settle_ledgers(
 class _LiveSink:
     """Live cost sink: the single query of :meth:`ExtendedIDistance.knn`.
 
-    Same interface as :class:`_QueryLedger`, but every cost lands at once:
+    Same interface as :class:`_BlockLedger`, but every cost lands at once:
     page reads go through the buffer pool one page at a time in the order
     a ledger would record them (so warm-pool hits, fault retries and mmap
     fetches happen for real), descents run the live
@@ -231,20 +229,87 @@ class _LiveSink:
         self.pool = pool
         self.counters = counters
 
-    def read_range(self, lo: int, hi: int) -> None:
+    def read(self, queries: List[int], lo: List[int], hi: List[int]) -> None:
         read = self.pool.read
-        for page in range(lo, hi + 1):
-            read(page)
+        for first, last in zip(lo, hi):
+            for page in range(first, last + 1):
+                read(page)
 
-    def descend(self, tree: BPlusTree, key: float) -> None:
-        tree._descend(key)
+    def descend(
+        self, tree: BPlusTree, queries: List[int], keys: List[float]
+    ) -> None:
+        for key in keys:
+            tree._descend(key)
 
-    def count_scan(self, n: int, dims: int) -> None:
-        self.counters.count_key_comparison(n)
+    def count(self, query: int, n: int, dims: int, scanned: bool) -> None:
+        if scanned:
+            self.counters.count_key_comparison(n)
         self.counters.count_distance(n, dims=dims)
 
-    def count_distance(self, n: int, dims: int) -> None:
-        self.counters.count_distance(n, dims=dims)
+
+def _merge_offers(
+    best_d: np.ndarray,
+    best_r: np.ndarray,
+    kth: np.ndarray,
+    rows: List[int],
+    parts_d: List[List[np.ndarray]],
+    parts_r: List[List[np.ndarray]],
+) -> None:
+    """Merge scored entries into their queries' best-k rows, in place.
+
+    ``best_d``/``best_r`` hold each query's best k distances and rids
+    (+inf where no entry has been offered yet; distances are finite) and
+    ``kth`` its k-th best distance once the row is full, else inf.
+    ``parts_d[i]``/``parts_r[i]`` are the distances and rids offered to
+    query ``rows[i]`` by one probe, in scan order, all better than its
+    ``kth``.
+
+    A max-heap fed a query's entries one by one with a strict ``<`` ends
+    holding exactly the k smallest of {row ∪ entries} whenever the k-th
+    smallest distance is unique there — which entries reached the heap on
+    the way cannot matter.  So a long offer list is first cut to its
+    k + 1 smallest by one ``argpartition`` (they hold the union's k
+    smallest and its (k+1)-th), and the k smallest of the row and what is
+    left, at most 2k + 1 pairs, are taken in sorted order.  Which k a heap
+    keeps depends on the order only when the (k+1)-th smallest distance
+    equals the k-th (a heap at that value rejects an equal one and evicts
+    by rid); such a query is merged by the literal heap loop instead.
+    Either way each row holds the heap's content, and so every later
+    comparison is the heap's.
+    """
+    k_eff = best_d.shape[1]
+    for qi, row_d, row_r in zip(rows, parts_d, parts_r):
+        offer_d = row_d[0] if len(row_d) == 1 else np.concatenate(row_d)
+        offer_r = row_r[0] if len(row_r) == 1 else np.concatenate(row_r)
+        if offer_d.size > k_eff + 1:
+            keep = offer_d.argpartition(k_eff)[: k_eff + 1]
+            offer_d = offer_d[keep]
+            offer_r = offer_r[keep]
+        union = sorted(
+            zip(
+                best_d[qi].tolist() + offer_d.tolist(),
+                best_r[qi].tolist() + offer_r.tolist(),
+            )
+        )
+        if union[k_eff - 1][0] == union[k_eff][0] < math.inf:
+            # The heap loop over this probe's offers, in scan order, from
+            # the row as it was.
+            heap = [
+                (-dist_, rid)
+                for dist_, rid in zip(best_d[qi].tolist(), best_r[qi].tolist())
+                if dist_ < math.inf
+            ]
+            heapq.heapify(heap)
+            for part_d, part_r in zip(row_d, row_r):
+                for dist_, rid in zip(part_d.tolist(), part_r.tolist()):
+                    if len(heap) < k_eff:
+                        heapq.heappush(heap, (-dist_, rid))
+                    elif dist_ < -heap[0][0]:
+                        heapq.heapreplace(heap, (-dist_, rid))
+            union = sorted((-dist_, rid) for dist_, rid in heap)
+        best_d[qi] = [dist_ for dist_, _ in union[:k_eff]]
+        best_r[qi] = [rid for _, rid in union[:k_eff]]
+        kth[qi] = union[k_eff - 1][0]
 
 
 class ExtendedIDistance(VectorIndex):
@@ -304,19 +369,85 @@ class ExtendedIDistance(VectorIndex):
         self._reset_scan_state()
 
     def _reset_scan_state(self) -> None:
-        """Drop the scan's derived state: the alive masks, cached as
-        ``(key, masks, tombstones folded in)`` (see :meth:`_alive_masks`),
-        and the delta stores' column blocks (:meth:`_delta_block`)."""
+        """Rebuild the scan's derived state: each partition's scan plan
+        (:meth:`_scan_plan`), the alive masks, cached as ``(key, masks,
+        tombstones folded in)`` (see :meth:`_alive_masks`), and the delta
+        stores' column blocks (:meth:`_delta_block`)."""
+        self._plans = [self._scan_plan(p) for p in self.partitions]
+        self._projections = self._projection_groups()
+        self._rims: Optional[tuple] = None
         self._alive: Optional[
             Tuple[Tuple[int, int], List[Optional[np.ndarray]], frozenset]
         ] = None
         self._delta_blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
+    def _scan_plan(self, partition: _Partition) -> tuple:
+        """What a probe reads of a partition's (immutable) bulk entries:
+        ``(offsets, columns, rids, page_of_entry, rank0, width)``, where
+        ``rank0`` is the partition's first entry rank in the tree and
+        ``width`` the dimensionality distances are charged at."""
+        return (
+            partition.offsets,
+            partition.columns,
+            partition.rids,
+            partition.page_of_entry,
+            int(self._rank_base[partition.index]),
+            max(1, partition.columns.shape[0]),
+        )
+
+    def _projection_groups(self) -> list:
+        """The partitions grouped by how queries map into them — each
+        subspace shape, and the outlier set (no projection) — as
+        ``(partition indices, means, bases, centroids)`` stacked for one
+        :func:`~repro.linalg.kernels.row_gemv` per group; ``means`` and
+        ``bases`` are ``None`` for the outlier set."""
+        groups: Dict[object, List[_Partition]] = {}
+        for partition in self.partitions:
+            subspace = partition.subspace
+            key = None if subspace is None else subspace.basis.shape
+            groups.setdefault(key, []).append(partition)
+        stacked = []
+        for key, members in groups.items():
+            means = bases = None
+            if key is not None:
+                means = np.stack([p.subspace.mean for p in members])
+                means = means[:, None, None, :]
+                bases = np.stack([p.subspace.basis for p in members])[:, None]
+            centroids = np.stack([p.centroid for p in members])
+            stacked.append((
+                [p.index for p in members],
+                means,
+                bases,
+                centroids[:, None, None, :],
+            ))
+        return stacked
+
+    def _scan_rims(self) -> Tuple[np.ndarray, np.ndarray, object]:
+        """Every partition's min and max radius as ``(n_parts, 1)``
+        columns, and an index of the partitions holding entries.  Radii
+        move only when an insert lands, so the insert count keys the
+        cache."""
+        cached = self._rims
+        if cached is None or cached[0] != self.n_inserted:
+            rims = np.array(
+                [[[p.min_radius], [p.max_radius]] for p in self.partitions]
+            ).reshape(-1, 2, 1)
+            sized = [p.index for p in self.partitions if p.size > 0]
+            if len(sized) == len(self.partitions):
+                sized = slice(None)
+            cached = self._rims = (
+                self.n_inserted, rims[:, 0], rims[:, 1], sized
+            )
+        return cached[1:]
+
     def __getstate__(self) -> dict:
         # A snapshot carries the tombstones and delta lists, never the
         # scan state derived from them.
         state = dict(self.__dict__)
-        del state["_alive"], state["_delta_blocks"]
+        for derived in (
+            "_plans", "_projections", "_rims", "_alive", "_delta_blocks"
+        ):
+            del state[derived]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -686,7 +817,7 @@ class ExtendedIDistance(VectorIndex):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One query through :meth:`_shared_scan` with the live sink."""
         ids, distances = self._shared_scan(
-            query[None, :], k, [_LiveSink(self.pool, self.counters)], tracer
+            query[None, :], k, _LiveSink(self.pool, self.counters), tracer
         )
         return ids[0], distances[0]
 
@@ -694,7 +825,7 @@ class ExtendedIDistance(VectorIndex):
         self, queries: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
         """A cold-cache block through :meth:`_shared_scan`, one recording
-        sink per query, bit-identical to a cold :meth:`knn` loop.
+        ledger for the block, bit-identical to a cold :meth:`knn` loop.
 
         Each query's recorded page sequence is settled against an exact
         LRU replay at the end; the batch totals are then folded into the
@@ -704,35 +835,36 @@ class ExtendedIDistance(VectorIndex):
         start = time.perf_counter()
         n_queries = queries.shape[0]
         with self.counters.cpu_timer():
-            ledgers = [_QueryLedger() for _ in range(n_queries)]
-            ids, distances = self._shared_scan(queries, k, ledgers, tracer)
+            ledger = _BlockLedger(n_queries)
+            ids, distances = self._shared_scan(queries, k, ledger, tracer)
             with tracer.span("knn.batch.settle", n_queries=n_queries):
-                logical, physical = _settle_ledgers(
-                    ledgers, self.pool.capacity_pages
+                logical, physical = _settle_ledger(
+                    ledger, n_queries, self.pool.capacity_pages
                 )
             self.counters.merge(
                 CostSnapshot(
                     logical_reads=int(logical.sum()),
                     physical_reads=int(physical.sum()),
-                    key_comparisons=sum(
-                        led.key_comparisons for led in ledgers
-                    ),
-                    distance_computations=sum(
-                        led.distance_computations for led in ledgers
-                    ),
-                    distance_flops=sum(led.distance_flops for led in ledgers),
+                    key_comparisons=sum(ledger.key_comparisons),
+                    distance_computations=sum(ledger.distance_computations),
+                    distance_flops=sum(ledger.distance_flops),
                 )
             )
         share = (time.perf_counter() - start) / n_queries
         stats = [
             QueryStats(
-                page_reads=int(reads),
-                distance_computations=led.distance_computations,
-                distance_flops=led.distance_flops,
-                key_comparisons=led.key_comparisons,
+                page_reads=reads,
+                distance_computations=dists,
+                distance_flops=flops,
+                key_comparisons=comparisons,
                 cpu_seconds=share,
             )
-            for reads, led in zip(physical.tolist(), ledgers)
+            for reads, dists, flops, comparisons in zip(
+                physical.tolist(),
+                ledger.distance_computations,
+                ledger.distance_flops,
+                ledger.key_comparisons,
+            )
         ]
         return ids, distances, stats
 
@@ -740,35 +872,44 @@ class ExtendedIDistance(VectorIndex):
         self,
         queries: np.ndarray,
         k: int,
-        sinks: List[Union[_QueryLedger, _LiveSink]],
+        sink: Union[_BlockLedger, _LiveSink],
         tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The search engine: exact KNN for every row of ``queries``.
 
-        Every query expands its search radius in lockstep.  Per partition
-        and radius step, one plain Python loop walks the still-active
-        queries: the first-contact gate, the search bound and both scan
-        windows are scalar ``searchsorted`` calls on the partition's
-        ``offsets``, and every other piece of per-query state (scan
-        positions, k-th best, contact, the active set) lives in lists.
-        Every candidate is scored by :func:`~repro.linalg.kernels.flat_l2`
-        on the partition's column-major block, bit-identical to a
-        per-block ``np.linalg.norm(rows - q, axis=1)``.  A query's inward
-        and outward windows are adjacent from first contact until either
-        one has been scanned, and are then scored as one run.  When more
-        than one query is in contact, the short runs go through ONE
-        gathered call; long runs (and every run of a lone query) get one
-        call each on a contiguous column view.  Top-K heap maintenance
-        consumes each query's windows in scan order (inward then outward,
-        ascending positions, with the k-th-best pre-filter refreshed
-        between them) so heap tie behavior is fixed.
+        Every query expands its search radius in lockstep, and each step
+        works on the whole block.  An expansion first screens every
+        (partition, active query) pair at the new radius with one array
+        comparison against the pair's edges: the nearest unscanned
+        offsets below and above its window once in contact, the
+        partition's rims (the annulus gate) before.  No pair the screen
+        drops can change at this step.  Then, per partition in order (a
+        *probe*), for the pairs it kept: first contact (tree descent,
+        delta-store scoring), the window plan — ``bound = min(kth,
+        radius)`` and both window edges as one ``searchsorted`` per side
+        over the block, ``"left"`` for ``d_i - bound`` and ``"right"``
+        for ``d_i + bound`` — and, per query that gained entries, its runs
+        and page ranges.  Every new window entry is scored by
+        :func:`~repro.linalg.kernels.flat_l2` on the partition's
+        column-major block, bit-identical to a per-block
+        ``np.linalg.norm(rows - q, axis=1)``.  A query's inward and
+        outward windows are adjacent from first contact until either one
+        has been scanned, and are then scored as one run.  When more than
+        one query is probed, the short runs go through ONE gathered call;
+        long runs (and every run of a lone query) get one call each on a
+        contiguous column view.  Each run's entries are masked by their
+        query's ``kth`` (and the alive mask), and what survives is merged
+        once per probe (:func:`_merge_offers`) into ``(Q, k)`` distance
+        and rid rows, to the content a top-k heap fed each window in scan
+        order would hold, ties included.
 
-        Costs go to ``sinks`` (one per query): a :class:`_QueryLedger`
-        records them for :meth:`_knn_batch` to settle, a :class:`_LiveSink`
-        pays them at once for :meth:`knn`.  Live mode runs one query and
-        emits ``knn.expand_radius`` / ``knn.probe_partition`` spans with
-        cost deltas (what :meth:`explain` breaks down); recording mode
-        emits the ``knn.batch.*`` spans.
+        Costs go to ``sink``: a :class:`_BlockLedger` records them for
+        :meth:`_knn_batch` to settle, a :class:`_LiveSink` pays them at
+        once for :meth:`knn`, in the same per-query order.  Live mode
+        runs one query and, under a real tracer, emits
+        ``knn.expand_radius`` / ``knn.probe_partition`` spans with cost
+        deltas (what :meth:`explain` breaks down); recording mode emits
+        the ``knn.batch.*`` spans.
         """
         n_queries = queries.shape[0]
         k_eff = min(k, self.live_count)
@@ -777,356 +918,368 @@ class ExtendedIDistance(VectorIndex):
                 np.empty((n_queries, 0), dtype=np.int64),
                 np.empty((n_queries, 0), dtype=np.float64),
             )
-        live = isinstance(sinks[0], _LiveSink)
-        n_parts = len(self.partitions)
+        live = isinstance(sink, _LiveSink)
+        spans = tracer.enabled or not live
+        partitions = self.partitions
+        n_parts = len(partitions)
 
-        # Per-partition query geometry.  Projections stay per-query gemv
-        # calls (a stacked gemm is NOT bit-identical to gemv rows — see
-        # repro.linalg.kernels), written as the columns of one (width, Q)
-        # block per partition: the layout flat_l2 scores against.
-        q_cols: List[np.ndarray] = []
-        q_dist: List[List[float]] = []
+        # Per-partition query geometry: the projections into every
+        # subspace of one width by one row_gemv (a gemv per query and
+        # subspace, as project() runs; a 2-d matmul would run gemm, whose
+        # bits differ) and their squared distances to the centroid by
+        # one row_dots (np.dot per row, whose sqrt is np.linalg.norm's).
+        # Each partition's projections are one (width, Q) column block:
+        # the layout flat_l2 scores against.
+        q_cols: List[np.ndarray] = [None] * n_parts
+        dist = np.empty((n_parts, n_queries), dtype=np.float64)
+        stacked = queries[None, :, None, :]
         with (NULL_TRACER if live else tracer).span(
             "knn.batch.project_queries",
             n_queries=n_queries,
             partitions=n_parts,
         ):
-            for partition in self.partitions:
-                block = np.empty(
-                    (partition.columns.shape[0], n_queries),
-                    dtype=np.float64,
-                )
-                centroid = partition.centroid
-                row = [0.0] * n_queries
-                subspace = partition.subspace
-                # sqrt(x·x) below is bit-identical to np.linalg.norm on
-                # a 1-d vector (norm computes exactly this) at a fraction
-                # of the call overhead; the projection keeps the same
-                # per-query `(q - mean) @ basis` gemv as project().
-                if subspace is not None:
-                    mean, basis = subspace.mean, subspace.basis
-                    for i in range(n_queries):
-                        proj = (queries[i] - mean) @ basis
-                        block[:, i] = proj
-                        diff = proj - centroid
-                        row[i] = math.sqrt(float(np.dot(diff, diff)))
+            for members, means, bases, centroids in self._projections:
+                if bases is None:
+                    proj = stacked
                 else:
-                    block[:] = queries.T
-                    for i in range(n_queries):
-                        diff = queries[i] - centroid
-                        row[i] = math.sqrt(float(np.dot(diff, diff)))
-                q_cols.append(block)
-                q_dist.append(row)
+                    proj = row_gemv(stacked - means, bases)
+                square = row_dots(proj - centroids)
+                dist[members] = np.sqrt(square.reshape(len(members), -1))
+                blocks = np.ascontiguousarray(proj[:, :, 0, :].swapaxes(1, 2))
+                for p, block in zip(members, blocks):
+                    q_cols[p] = block
 
-        # Past this radius every partition's keys are consumed for a query.
-        reach = [
-            (q_dist[p.index], p.max_radius)
-            for p in self.partitions
-            if p.size > 0
-        ]
-        max_needed = [
-            max(row[qi] + rim for row, rim in reach) if reach else 0.0
-            for qi in range(n_queries)
-        ]
+        # Partition rims, as (partition, 1) columns; past dist +
+        # max_radius every key of a partition is consumed for a query.
+        min_r, max_r, sized = self._scan_rims()
+        max_needed = (dist[sized] + max_r[sized]).max(axis=0, initial=0.0)
 
-        heaps: List[List[Tuple[float, int]]] = [
-            [] for _ in range(n_queries)
-        ]
-        # Heap representation is *lazy*: after a vectorized top-K merge the
-        # list holds the exact content but not heap order, flagged here, and
-        # is heapified on demand before any heapq operation — heapify of
-        # equivalent content is exact, so behavior is unchanged.  heap_dist
-        # caches the content's distances (aligned with the list) so the
-        # next merge can reuse them instead of re-extracting per entry.
-        heap_lazy = bytearray(n_queries)
-        heap_dist: List[Optional[np.ndarray]] = [None] * n_queries
-        kth = [math.inf] * n_queries
+        # Each query's best k (see _merge_offers).
+        best_d = np.full((n_queries, k_eff), np.inf)
+        best_r = np.zeros((n_queries, k_eff), dtype=np.int64)
+        kth = np.full(n_queries, np.inf)
         # Per partition and query: contact flag, then the inward scan's
         # exclusive stop and the outward scan's start.  Positions [in, out)
         # are consumed; an exhausted direction parks at 0 or at the bulk
-        # size.
-        contacted = [bytearray(n_queries) for _ in range(n_parts)]
-        in_stop = [[0] * n_queries for _ in range(n_parts)]
-        out_start = [[0] * n_queries for _ in range(n_parts)]
-        expansions = [0] * n_queries
+        # size.  `untouched` counts each partition's queries not yet in
+        # contact.
+        contact = np.zeros((n_parts, n_queries), dtype=bool)
+        in_stop = np.zeros((n_parts, n_queries), dtype=np.int64)
+        out_start = np.zeros((n_parts, n_queries), dtype=np.int64)
+        untouched = [n_queries] * n_parts
+        # The screen's edges: at radius R a pair can change only if
+        # below >= d - R or above <= d + R.  In contact they are the
+        # nearest unscanned offsets below and above the window (-inf and
+        # +inf past the ends); before contact they encode the annulus
+        # gate d - R <= max_radius and d + R >= min_radius.
+        below = np.where(
+            dist > max_r, max_r, np.where(dist < min_r, -np.inf, np.inf)
+        )
+        above = np.where(dist < min_r, min_r, np.inf)
 
+        plans = self._plans
         leaf_pages = self._leaf_pages
         leaf_runs = self._leaf_runs
         fill = self._leaf_fill
         tree = self.tree
         c = self.c
         radius = self.radius_step
-        # What probe() reads of a partition, gathered once per scan rather
-        # than once per radius expansion: the bulk arrays, the alive mask
-        # over the partition's positions (None without deletes) and the
-        # delta store's column block (None while it is empty).
+        # The alive mask over each partition's positions (None without
+        # deletes) and the delta store's column block (None while empty).
         alive_masks = self._alive_masks()
-        plans = [
-            (
-                partition.offsets,
-                partition.columns,
-                partition.rids,
-                partition.page_of_entry,
-                int(self._rank_base[partition.index]),
-                max(1, partition.columns.shape[0]),
-                alive_masks[partition.index],
-                self._delta_block(partition) if partition.delta_rids else None,
-            )
-            for partition in self.partitions
+        delta_blocks = [
+            self._delta_block(p) if p.delta_rids else None
+            for p in partitions
         ]
 
-        def offer(
-            qi: int,
-            seg_d: np.ndarray,
-            seg_r: np.ndarray,
-            alive: Optional[np.ndarray],
-        ) -> None:
-            """Merge scored candidates (a scanned window, or a delta
-            store) into query ``qi``'s top-K heap.  ``alive`` is the
-            segment's slice of its partition's alive mask, or ``None``
-            when the partition has no deletes."""
-            heap = heaps[qi]
-            if alive is not None:
-                seg_d = seg_d[alive]
-                seg_r = seg_r[alive]
-            # kth[qi] is maintained at every heap mutation, so it IS the
-            # query's current k-th best here.
-            current = kth[qi]
-            if current != math.inf:
-                keep = seg_d < current
-                seg_d = seg_d[keep]
-                seg_r = seg_r[keep]
-            if seg_d.size >= 48:
-                # Vectorized top-K merge.  Heap behavior depends only on
-                # heap *content* (heapq always pops the minimum tuple), and
-                # streaming offers with a strict < keep exactly the k
-                # smallest of {heap ∪ segment} whenever the k-th smallest
-                # distance is unique in that union; only a tie at the
-                # selection boundary is order-dependent, and then we fall
-                # back to the literal offer loop.  Either way the resulting
-                # content — and so every later comparison — is
-                # bit-identical.
-                inc = heap_dist[qi]
-                if inc is None:
-                    inc = np.array(
-                        [-entry[0] for entry in heap], dtype=np.float64
-                    )
-                    heap_dist[qi] = inc
-                union_d = np.concatenate([inc, seg_d])
-                if union_d.size > k_eff:
-                    top = np.argpartition(union_d, k_eff - 1)[:k_eff]
-                    boundary = union_d[top].max()
-                    if int((union_d == boundary).sum()) == 1:
-                        n_inc = len(heap)
-                        heaps[qi] = [
-                            heap[t]
-                            if t < n_inc
-                            else (
-                                -float(seg_d[t - n_inc]),
-                                int(seg_r[t - n_inc]),
-                            )
-                            for t in top.tolist()
-                        ]
-                        heap_dist[qi] = union_d[top]
-                        heap_lazy[qi] = 1
-                        kth[qi] = float(boundary)
-                        return
-            if heap_lazy[qi]:
-                heapq.heapify(heap)
-                heap_lazy[qi] = 0
-            heap_dist[qi] = None
-            for dist, rid in zip(seg_d.tolist(), seg_r.tolist()):
-                if len(heap) < k_eff:
-                    heapq.heappush(heap, (-dist, rid))
-                elif dist < -heap[0][0]:
-                    heapq.heapreplace(heap, (-dist, rid))
-            kth[qi] = -heap[0][0] if len(heap) == k_eff else math.inf
-
-        def probe(partition: _Partition, act: List[int]) -> None:
-            """Advance every active query's scan of one partition to cover
-            the key interval ``[d_i - radius, d_i + radius]``."""
+        def first_contact(partition: _Partition, fresh: List[int]) -> None:
+            """Queries ``fresh`` reach ``partition`` for the first time:
+            descend the tree to each seek key, park both scan edges there,
+            and score the delta store (whose entries can move a query's
+            bound before its first window)."""
             p = partition.index
-            (
-                offsets, columns, rids_all, page_of_entry, rank0, width,
-                alive, delta,
-            ) = plans[p]
-            n_bulk = rids_all.size
-            Qc = q_cols[p]
-            qd = q_dist[p]
-            touched = contacted[p]
+            offsets, columns, _, _, _, width = plans[p]
             ins = in_stop[p]
             outs = out_start[p]
-            min_r = partition.min_radius
-            max_r = partition.max_radius
-
-            # Each query's window: [lo, cut) inward and [cut, hi) outward
-            # while the two are adjacent, else one run per non-empty side.
-            runs: List[Tuple[int, int, int, int]] = []
-            n_contact = 0
-            for qi in act:
-                d_i = qd[qi]
-                if not touched[qi]:
-                    # First contact: the annulus-intersection gate, the
-                    # tree descent to the seek leaf, and the delta-store
-                    # scoring.
-                    if d_i - radius > max_r or d_i + radius < min_r:
-                        continue
-                    sink = sinks[qi]
-                    seek = min(max(d_i, min_r), max_r)
-                    sink.descend(tree, p * c + seek)
-                    ins[qi] = outs[qi] = int(offsets.searchsorted(seek))
-                    touched[qi] = 1
-                    if delta is not None:
-                        for page in partition.delta_pages:
-                            sink.read_range(page, page)
-                        ddists = flat_l2(delta[0], slice(None), Qc, qi)
-                        sink.count_distance(ddists.size, width)
-                        offer(
-                            qi,
-                            ddists,
-                            delta[1],
-                            None if alive is None else alive[n_bulk:],
-                        )
-                n_contact += 1
-                bound = kth[qi] if kth[qi] < radius else radius
-                in_hi = ins[qi]
-                in_lo = int(offsets.searchsorted(d_i - bound))
-                if in_lo < in_hi:
-                    ins[qi] = in_lo
-                else:
-                    in_lo = in_hi
-                out_lo = outs[qi]
-                out_hi = int(offsets.searchsorted(d_i + bound, "right"))
-                if out_hi > out_lo:
-                    outs[qi] = out_hi
-                else:
-                    out_hi = out_lo
-                if in_hi == out_lo:
-                    if in_lo < out_hi:
-                        runs.append((qi, in_lo, in_hi, out_hi))
-                else:
-                    if in_lo < in_hi:
-                        runs.append((qi, in_lo, in_hi, in_hi))
-                    if out_lo < out_hi:
-                        runs.append((qi, out_lo, out_lo, out_hi))
-            if not runs:
+            touched = contact[p]
+            row = dist[p]
+            min_r_p = partition.min_radius
+            max_r_p = partition.max_radius
+            seek = [min(max(row.item(qi), min_r_p), max_r_p) for qi in fresh]
+            sink.descend(tree, fresh, [p * c + key for key in seek])
+            floor = below[p]
+            ceiling = above[p]
+            last = offsets.size
+            for qi, start in zip(fresh, offsets.searchsorted(seek).tolist()):
+                ins[qi] = outs[qi] = start
+                touched[qi] = True
+                floor[qi] = offsets.item(start - 1) if start else -np.inf
+                ceiling[qi] = offsets.item(start) if start < last else np.inf
+            untouched[p] -= len(fresh)
+            delta = delta_blocks[p]
+            if delta is None:
                 return
-
-            # In a block of queries every short run is pooled into ONE
-            # gathered flat_l2 call, so small per-query slabs don't pay a
-            # kernel call each; a lone query has nothing to share a gather
-            # with.
-            pool_below = _BATCH_SEG_VIEW_MIN if n_contact > 1 else 0
-            pooled = [run for run in runs if run[3] - run[1] < pool_below]
-            if pooled:
-                run_q, run_lo, _, run_hi = zip(*pooled)
-                lo_arr = np.array(run_lo, dtype=np.int64)
-                hi_arr = np.array(run_hi, dtype=np.int64)
-                flat = multi_arange(lo_arr, hi_arr)
-                entry_q = np.repeat(
-                    np.array(run_q, dtype=np.int64), hi_arr - lo_arr
+            delta_cols, delta_rids = delta
+            n_delta = delta_rids.size
+            n_fresh = len(fresh)
+            delta_pages = partition.delta_pages
+            if delta_pages:
+                sink.read(
+                    [qi for qi in fresh for _ in delta_pages],
+                    delta_pages * n_fresh,
+                    delta_pages * n_fresh,
                 )
-                dists_flat = flat_l2(columns, flat, Qc, entry_q)
-                rids_flat = rids_all[flat]
-            s0 = 0
-            for qi, lo, cut, hi in runs:
-                n = hi - lo
-                if n < pool_below:
-                    run_d = dists_flat[s0 : s0 + n]
-                    run_r = rids_flat[s0 : s0 + n]
-                    s0 += n
+            for qi in fresh:
+                sink.count(qi, n_delta, width, False)
+            seg_q = np.repeat(fresh, n_delta)
+            seg_d = flat_l2(
+                delta_cols,
+                np.tile(np.arange(n_delta), n_fresh),
+                q_cols[p],
+                seg_q,
+            )
+            keep = seg_d < kth[seg_q]
+            alive = alive_masks[p]
+            if alive is not None:
+                keep &= np.tile(alive[columns.shape[1] :], n_fresh)
+            picked = keep.nonzero()[0]
+            if not picked.size:
+                return
+            got_d = seg_d[picked]
+            got_r = delta_rids[picked % n_delta]
+            cuts = picked.searchsorted(
+                np.arange(n_delta, n_delta * n_fresh + 1, n_delta)
+            ).tolist()
+            rows: List[int] = []
+            parts_d: List[List[np.ndarray]] = []
+            parts_r: List[List[np.ndarray]] = []
+            lo = 0
+            for qi, hi in zip(fresh, cuts):
+                if hi > lo:
+                    rows.append(qi)
+                    parts_d.append([got_d[lo:hi]])
+                    parts_r.append([got_r[lo:hi]])
+                lo = hi
+            _merge_offers(best_d, best_r, kth, rows, parts_d, parts_r)
+
+        def probe(partition: _Partition, cand: np.ndarray) -> None:
+            """Advance the scans of one partition by the queries ``cand``
+            (the screened ones) to cover ``[d_i - bound, d_i + bound]``."""
+            p = partition.index
+            offsets, columns, rids_all, page_of_entry, rank0, width = plans[p]
+            if untouched[p]:
+                touched = contact[p]
+                fresh = [qi for qi in cand.tolist() if not touched[qi]]
+                if fresh:
+                    first_contact(partition, fresh)
+
+            # The window plan: bound = min(kth, radius), then both edges,
+            # widened only.  The inward side is [in_lo, in_hi), the
+            # outward side [out_lo, out_hi).
+            d = dist[p][cand]
+            bound = np.minimum(kth[cand], radius)
+            ins = in_stop[p]
+            outs = out_start[p]
+            floor = below[p]
+            ceiling = above[p]
+            last = offsets.size
+
+            # Each query's new entries, side by side in scan order, as
+            # runs: the inward and outward sides form one run while they
+            # touch.  Per side, I/O is the leaf run covering its entry
+            # ranks, then its contiguous data-page run.
+            runs: List[Tuple[int, int, int]] = []
+            io_q: List[int] = []
+            io_lo: List[int] = []
+            io_hi: List[int] = []
+            for qi, a0, b1 in zip(
+                cand.tolist(),
+                offsets.searchsorted(d - bound).tolist(),
+                offsets.searchsorted(d + bound, "right").tolist(),
+            ):
+                b0 = ins.item(qi)
+                a1 = outs.item(qi)
+                if a0 < b0:
+                    ins[qi] = a0
+                    floor[qi] = offsets.item(a0 - 1) if a0 else -np.inf
+                elif b1 > a1:
+                    a0 = b0
                 else:
-                    run = slice(lo, hi)
-                    run_d = flat_l2(columns, run, Qc, qi)
-                    run_r = rids_all[run]
-                if lo == cut or cut == hi:
-                    sides = ((lo, hi, run_d, run_r),)
+                    continue
+                if b1 > a1:
+                    outs[qi] = b1
+                    ceiling[qi] = offsets.item(b1) if b1 < last else np.inf
                 else:
-                    m = cut - lo
-                    sides = (
-                        (lo, cut, run_d[:m], run_r[:m]),
-                        (cut, hi, run_d[m:], run_r[m:]),
-                    )
-                sink = sinks[qi]
-                for a, b, seg_d, seg_r in sides:
-                    # I/O: the leaf run covering the window's entry ranks,
-                    # then its contiguous data-page run.
+                    b1 = a1
+                if b0 == a1:
+                    runs.append((qi, a0, b1))
+                else:
+                    if a0 < b0:
+                        runs.append((qi, a0, b0))
+                    if a1 < b1:
+                        runs.append((qi, a1, b1))
+                sink.count(qi, b0 - a0 + b1 - a1, width, True)
+                for a, b in ((a0, b0), (a1, b1)):
+                    if a == b:
+                        continue
                     leaf_a = (rank0 + a) // fill
                     leaf_b = (rank0 + b - 1) // fill
                     if leaf_runs:
-                        sink.read_range(
-                            leaf_pages.item(leaf_a), leaf_pages.item(leaf_b)
-                        )
+                        io_q.append(qi)
+                        io_lo.append(leaf_pages.item(leaf_a))
+                        io_hi.append(leaf_pages.item(leaf_b))
                     else:
-                        for leaf_idx in range(leaf_a, leaf_b + 1):
-                            page = leaf_pages.item(leaf_idx)
-                            sink.read_range(page, page)
-                    sink.read_range(
-                        page_of_entry.item(a), page_of_entry.item(b - 1)
-                    )
-                    sink.count_scan(b - a, width)
-                    offer(
-                        qi, seg_d, seg_r, None if alive is None else alive[a:b]
-                    )
+                        for leaf in range(leaf_a, leaf_b + 1):
+                            io_q.append(qi)
+                            io_lo.append(leaf_pages.item(leaf))
+                            io_hi.append(leaf_pages.item(leaf))
+                    io_q.append(qi)
+                    io_lo.append(page_of_entry.item(a))
+                    io_hi.append(page_of_entry.item(b - 1))
+            if not runs:
+                return
+            sink.read(io_q, io_lo, io_hi)
 
-        def expand(act: List[int]) -> None:
-            for partition in self.partitions:
+            # Scoring, and the mask by kth (and by the alive mask): each
+            # run's surviving entries become one part of its query's
+            # offers.  In a block of queries every short run is pooled into
+            # ONE gathered flat_l2 call, so small per-query slabs don't pay
+            # a kernel call each; a lone query has nothing to share a
+            # gather with.
+            pool_below = _BATCH_SEG_VIEW_MIN if cand.size > 1 else 0
+            q_block = q_cols[p]
+            alive = alive_masks[p]
+            got_d: List[Optional[np.ndarray]] = [None] * len(runs)
+            got_r: List[Optional[np.ndarray]] = [None] * len(runs)
+            pooled: List[int] = []
+            for i, (qi, a, b) in enumerate(runs):
+                if b - a < pool_below:
+                    pooled.append(i)
+                    continue
+                run_d = flat_l2(columns, slice(a, b), q_block, qi)
+                keep = run_d < kth.item(qi)
+                if alive is not None:
+                    keep &= alive[a:b]
+                n_hit = np.count_nonzero(keep)
+                if n_hit == run_d.size:
+                    got_d[i] = run_d
+                    got_r[i] = rids_all[a:b]
+                elif n_hit:
+                    hit = keep.nonzero()[0]
+                    got_d[i] = run_d[hit]
+                    got_r[i] = rids_all[a + hit]
+            if pooled:
+                pool_q, pool_lo, pool_hi = (
+                    np.array(column, dtype=np.int64)
+                    for column in zip(*(runs[i] for i in pooled))
+                )
+                lengths = pool_hi - pool_lo
+                positions = multi_arange(pool_lo, pool_hi)
+                run_d = flat_l2(
+                    columns, positions, q_block, pool_q.repeat(lengths)
+                )
+                keep = run_d < kth[pool_q].repeat(lengths)
+                if alive is not None:
+                    keep &= alive[positions]
+                hit = keep.nonzero()[0]
+                if hit.size:
+                    hit_d = run_d[hit]
+                    hit_r = rids_all[positions[hit]]
+                    lo = 0
+                    for i, hi in zip(
+                        pooled, hit.searchsorted(np.cumsum(lengths)).tolist()
+                    ):
+                        if hi > lo:
+                            got_d[i] = hit_d[lo:hi]
+                            got_r[i] = hit_r[lo:hi]
+                        lo = hi
+
+            # One merge of the probe's offers, each query's parts in run
+            # order.
+            rows: List[int] = []
+            parts_d: List[List[np.ndarray]] = []
+            parts_r: List[List[np.ndarray]] = []
+            for (qi, _, _), part_d, part_r in zip(runs, got_d, got_r):
+                if part_d is None:
+                    continue
+                if rows and rows[-1] == qi:
+                    parts_d[-1].append(part_d)
+                    parts_r[-1].append(part_r)
+                else:
+                    rows.append(qi)
+                    parts_d.append([part_d])
+                    parts_r.append([part_r])
+            if rows:
+                _merge_offers(best_d, best_r, kth, rows, parts_d, parts_r)
+
+        def expand(act: np.ndarray) -> None:
+            """One radius step for the active queries ``act``: the screen,
+            then one probe per partition it leaves work in."""
+            cols = slice(None) if act.size == n_queries else act
+            near = dist[:, cols]
+            lo = near - radius
+            hi = near + radius
+            work = (below[:, cols] >= lo) | (above[:, cols] <= hi)
+            busy = work.any(axis=1).tolist()
+            for partition in partitions:
+                p = partition.index
                 if partition.size == 0:
                     continue
-                if not live:
-                    probe(partition, act)
+                if not (live and tracer.enabled):
+                    if busy[p]:
+                        probe(partition, act[work[p]])
                     continue
                 with tracer.span(
                     "knn.probe_partition",
                     counters=self.counters,
-                    partition=partition.index,
+                    partition=p,
                     outliers=partition.subspace is None,
                 ):
-                    probe(partition, act)
+                    if busy[p]:
+                        probe(partition, act[work[p]])
 
-        act = list(range(n_queries))
-        while act:
-            for qi in act:
-                expansions[qi] += 1
-            if live:
+        act = np.arange(n_queries)
+        expansions = np.zeros(n_queries, dtype=np.int64)
+        step = 0
+        while act.size:
+            step += 1
+            if tracer.enabled:
+                expansions[act] += 1
+            if not spans:
+                expand(act)
+            elif live:
                 # One span per radius expansion: its cost delta is exactly
                 # the pages/distances this ΔR step paid across partitions.
                 with tracer.span(
                     "knn.expand_radius",
                     counters=self.counters,
                     radius=radius,
-                    expansion=expansions[0],
+                    expansion=step,
                 ) as expand_span:
                     expand(act)
-                    if tracer.enabled:
-                        expand_span.set(
-                            heap_size=len(heaps[0]), kth_best=kth[0]
-                        )
+                    expand_span.set(
+                        heap_size=int(np.count_nonzero(best_d[0] < np.inf)),
+                        kth_best=float(kth[0]),
+                    )
             else:
                 with tracer.span(
                     "knn.batch.expand_radius",
                     radius=radius,
-                    active_queries=len(act),
+                    active_queries=int(act.size),
                 ):
                     expand(act)
-            act = [
-                qi
-                for qi in act
-                if kth[qi] > radius and radius <= max_needed[qi]
-            ]
+            act = act[(kth[act] > radius) & (radius <= max_needed[act])]
             radius += self.radius_step
         if tracer.enabled:
-            tracer.counter("knn.radius_expansions").inc(sum(expansions))
+            tracer.counter("knn.radius_expansions").inc(int(expansions.sum()))
             per_query = tracer.histogram(
                 "knn.expansions_per_query", buckets=tuple(range(1, 65))
             )
-            for count in expansions:
+            for count in expansions.tolist():
                 per_query.observe(count)
 
-        ids = np.empty((n_queries, k_eff), dtype=np.int64)
-        distances = np.empty((n_queries, k_eff), dtype=np.float64)
-        for qi, heap in enumerate(heaps):
-            ordered = sorted((-d, rid) for d, rid in heap)
-            ids[qi] = [rid for _, rid in ordered]
-            distances[qi] = [d for d, _ in ordered]
-        return ids, distances
+        # Ascending distance, ties by rid: the order sorted() gives the
+        # (distance, rid) pairs.
+        order = np.lexsort((best_r, best_d))
+        rows = np.arange(n_queries)[:, None]
+        return best_r[rows, order], best_d[rows, order]

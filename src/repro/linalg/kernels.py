@@ -5,11 +5,16 @@ The batch KNN paths (:meth:`repro.index.base.VectorIndex.knn_batch`) promise
 *bit-identical* results to the per-query search.  That rules out the usual
 ``cdist`` expansion ``sqrt(x·x - 2x·q + q·q)``, whose re-association changes
 the last ulp, and also rules out replacing the per-query ``(d,) @ (d, d_r)``
-projection with one ``(Q, d) @ (d, d_r)`` matmul (BLAS picks different
-kernels for gemv vs gemm, and their row results differ bit-wise — measured,
-not hypothetical).  What *is* safe is broadcasting the subtraction and
-reducing the contiguous last axis: numpy's pairwise summation tree depends
-only on the length and layout of the reduced axis, so
+projection with one 2-d ``(Q, d) @ (d, d_r)`` matmul: that runs BLAS gemm,
+whose row results differ bit-wise from the per-row gemv (measured, not
+hypothetical).  A *stacked* ``(..., 1, d) @ (..., d, d_r)`` matmul is
+safe: numpy runs one gemv per stack item, so :func:`row_gemv` and
+:func:`row_dots` (the stacked ``(1, w) @ (w, 1)`` product, one dot per
+item) batch the projection and its norm — over queries and over
+same-width subspaces at once — with the per-row bits.  Also safe is
+broadcasting the subtraction and reducing the contiguous last axis:
+numpy's pairwise summation tree depends only on the length and layout of
+the reduced axis, so
 
     np.linalg.norm(P[None, :, :] - Q[:, None, :], axis=2)[i]
         == np.linalg.norm(P - Q[i], axis=1)          # bit-for-bit
@@ -47,6 +52,8 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
+    "row_gemv",
+    "row_dots",
     "multi_arange",
     "batch_l2_rows",
     "flat_l2",
@@ -107,6 +114,22 @@ def require_kernel_matrix(name: str, arr: np.ndarray) -> np.ndarray:
             "construction instead)"
         )
     return arr
+
+
+def row_gemv(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Stacked products of ``(..., 1, d)`` rows with ``(..., d, w)``
+    matrices (broadcast over the leading axes), each row bit-identical to
+    ``row @ matrix``: numpy runs a stacked matmul as one BLAS gemv per
+    stack item, where a 2-d ``(Q, d) @ (d, w)`` would run gemm, whose
+    bits differ."""
+    return np.matmul(rows, matrix)
+
+
+def row_dots(rows: np.ndarray) -> np.ndarray:
+    """Squared norms ``(..., 1, 1)`` of ``(..., 1, w)`` rows, each
+    bit-identical to ``np.dot(row, row)``: the stacked ``(1, w) @ (w, 1)``
+    matmul runs one dot per stack item."""
+    return np.matmul(rows, rows.swapaxes(-1, -2))
 
 
 def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

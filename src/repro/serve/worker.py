@@ -170,14 +170,22 @@ def worker_main(
     """Child-process entry point (runs in the forked worker).
 
     Exits via ``os._exit`` so the forked copy of the parent's runtime
-    (atexit hooks, multiprocessing bookkeeping) never runs in the child.
+    (atexit hooks, multiprocessing bookkeeping) never runs in the child;
+    the index's store is closed first, which removes an mmap store's
+    temporary heap file.
     """
+    index = None
+    status = 0
     try:
         index, rid_map, _report = recover_index_dir(shard_dir)
         if fault_spec is not None and fault_spec.storage_plan is not None:
             index.enable_faults(fault_spec.storage_plan)
         serve_loop(sock, shard_id, index, rid_map, fault_spec)
     except BaseException:
-        os._exit(1)
+        status = 1
     finally:
-        os._exit(0)
+        try:
+            if index is not None:
+                index.store.close()
+        finally:
+            os._exit(status)

@@ -183,11 +183,11 @@ class FaultPlan:
 
     Probabilities are per operation (per fetch for reads, per
     allocate/overwrite for writes).  ``transient_repeat`` is how many
-    consecutive attempts a transient fault survives before the page reads
-    clean — keep it below the retry policy's ``max_attempts`` and every
-    transient fault is recoverable, which is the precondition for the
-    bit-identical-results guarantee.  ``max_faults`` caps total injections
-    (``None`` = unlimited).
+    consecutive attempts a transient fault survives; the attempt after
+    them reads clean — keep it below the retry policy's ``max_attempts``
+    and every transient fault is recoverable, which is the precondition
+    for the bit-identical-results guarantee.  ``max_faults`` caps total
+    injections (``None`` = unlimited).
     """
 
     seed: int
@@ -259,7 +259,8 @@ class FaultyPageStore(StoreWrapper):
         )
         self._rng = random.Random(plan.seed)
         self._injected = 0
-        # page_id -> remaining consecutive attempts that must still fail.
+        # page_id -> consecutive attempts that must still fail; a page
+        # at 0 reads clean once, then draws faults again.
         self._pending_transient: dict = {}
         # Pages already hit by a bit flip (corruption is permanent).
         self._flipped: Set[int] = set()
@@ -310,22 +311,20 @@ class FaultyPageStore(StoreWrapper):
             corrupt_page(self.inner, page_id)
 
     def fetch(self, page_id: int) -> Page:
-        pending = self._pending_transient.get(page_id, 0)
-        if pending > 0:
-            if pending == 1:
-                del self._pending_transient[page_id]
-            else:
-                self._pending_transient[page_id] = pending - 1
+        pending = self._pending_transient.get(page_id)
+        if pending:
+            self._pending_transient[page_id] = pending - 1
             raise TransientPageError(
                 f"injected transient read fault on page {page_id} "
                 f"({pending - 1} repeats left)"
             )
-        if self._draw(self.plan.transient_read_prob):
+        if pending is not None:
+            # The fault's run is over: this attempt reads clean, so a
+            # run shorter than the retry budget always recovers.
+            del self._pending_transient[page_id]
+        elif self._draw(self.plan.transient_read_prob):
             self._count("transient")
-            if self.plan.transient_repeat > 1:
-                self._pending_transient[page_id] = (
-                    self.plan.transient_repeat - 1
-                )
+            self._pending_transient[page_id] = self.plan.transient_repeat - 1
             raise TransientPageError(
                 f"injected transient read fault on page {page_id}"
             )

@@ -251,6 +251,10 @@ class MmapPageStore(PageStore):
 
     # -- metadata mutation hooks (see PageStore) -------------------------
 
+    def max_lsn(self) -> int:
+        stamped = (meta.lsn for meta in self._meta.values())
+        return max((lsn for lsn in stamped if lsn is not None), default=0)
+
     def stamp_lsn(self, page_id: int, lsn: Optional[int]) -> None:
         meta = self._meta.get(page_id)
         if meta is None:

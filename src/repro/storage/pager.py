@@ -290,6 +290,11 @@ class PageStore:
         """Record the LSN of the last logged write to ``page_id``."""
         self.raw_fetch(page_id).lsn = lsn
 
+    def max_lsn(self) -> int:
+        """The highest LSN stamped on any stored page (0 when none is)."""
+        stamped = (page.lsn for page in self._pages.values())
+        return max((lsn for lsn in stamped if lsn is not None), default=0)
+
     def corrupt_checksum(self, page_id: int, bit: int = 0) -> None:
         """Flip one bit of the stored checksum word (simulated bit rot).
 
@@ -406,6 +411,9 @@ class StoreWrapper(PageStore):
 
     def raw_fetch(self, page_id: int) -> Page:
         return self.inner.raw_fetch(page_id)
+
+    def max_lsn(self) -> int:
+        return self.inner.max_lsn()
 
     def read_sequential(self, page_id: int) -> Page:
         page = self.fetch(page_id)

@@ -318,6 +318,15 @@ class WriteAheadLog:
         """LSN of the most recently appended record (0 when empty)."""
         return self._next_lsn - 1
 
+    def continue_after(self, lsn: int) -> None:
+        """Number the next record past ``lsn`` if it would not be already.
+
+        A fresh log attached to pages stamped by an earlier one must
+        outnumber them: recovery skips a page record whose LSN is not
+        above the page's own, so a restarted numbering would lose
+        committed writes."""
+        self._next_lsn = max(self._next_lsn, lsn + 1)
+
     def stats(self) -> dict:
         """Log size and checkpoint recency, tracked incrementally.
 
@@ -501,6 +510,7 @@ class WALPageStore(StoreWrapper):
     ) -> None:
         super().__init__(inner)
         self.wal = wal
+        wal.continue_after(inner.max_lsn())
         self.clock = WriteClock()
         self.clock.arm(crashpoint)
 

@@ -10,6 +10,8 @@ from repro.linalg.kernels import (
     cold_lru_physical_reads,
     flat_l2,
     multi_arange,
+    row_dots,
+    row_gemv,
 )
 
 
@@ -35,6 +37,44 @@ class TestMultiArange:
     def test_rejects_negative_lengths(self):
         with pytest.raises(ValueError):
             multi_arange(np.array([5]), np.array([4]))
+
+
+class TestStackedRowProducts:
+    """iDistance projects a block of queries into every same-width
+    subspace with one stacked matmul; each row must keep the bits of the
+    per-query gemv and dot the single-query path would run."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 33])
+    @pytest.mark.parametrize(
+        "width,dims",
+        [
+            (width, dims)
+            for width in (1, 7, 8, 13, 64)
+            for dims in (1, 8, 13, 64, 100, 128)
+            if width <= dims
+        ],
+    )
+    def test_rows_keep_per_row_bits(self, rng, n_rows, width, dims):
+        means = rng.normal(size=(3, dims))
+        bases = np.stack([
+            np.linalg.qr(rng.normal(size=(dims, dims)))[0][:, :width]
+            for _ in means
+        ])
+        rows = rng.normal(size=(n_rows, dims)) * 10
+        proj = row_gemv(
+            rows[None, :, None, :] - means[:, None, None, :], bases[:, None]
+        )
+        centroids = rng.normal(size=(3, width))
+        square = row_dots(proj - centroids[:, None, None, :])
+        for g, (mean, basis, centroid) in enumerate(
+            zip(means, bases, centroids)
+        ):
+            want = np.stack([(row - mean) @ basis for row in rows])
+            assert np.array_equal(_bits(proj[g, :, 0]), _bits(want))
+            assert np.array_equal(
+                _bits(square[g, :, 0, 0]),
+                _bits(np.array([np.dot(x, x) for x in want - centroid])),
+            )
 
 
 class TestBatchL2Rows:

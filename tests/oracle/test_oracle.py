@@ -328,15 +328,13 @@ class OracleMachine(RuleBasedStateMachine):
     @rule(seed=seeds)
     @counted
     def fault_window(self, seed):
-        """Transient read faults, capped so that all of them on one read
-        still leave it an attempt, change neither answers nor costs.
-        Only without a WAL: the index refuses to stack the wrappers."""
+        """Transient read faults that repeat fewer times than the retry
+        policy allows change neither answers nor costs.  Only without a
+        WAL: the index refuses to stack the wrappers."""
         rng = np.random.default_rng(seed)
-        repeat = int(rng.integers(1, 3))
         faulty = self.index.enable_faults(FaultPlan(
             seed=seed, transient_read_prob=float(rng.choice([0.05, 0.3])),
-            transient_repeat=repeat,
-            max_faults=(RetryPolicy().max_attempts - 1) // repeat,
+            transient_repeat=int(rng.integers(1, RetryPolicy().max_attempts)),
         ))
         try:
             self._check_random_block(rng, extra=1)
@@ -389,10 +387,10 @@ class OracleMachine(RuleBasedStateMachine):
 
     def _checkpoint(self) -> None:
         if self.index.wal is None:
-            # Reopen the log the pages were last written under: a fresh
-            # one restarts LSNs below the pages' own, and redo skips a
-            # record older than its page.
-            self.wal_dir = self.wal_dir or self._dir("wal")
+            # A fresh log each time: it must number its records past the
+            # LSNs the pages carry from earlier logs, or recovery skips
+            # them.
+            self.wal_dir = self._dir("wal")
             self.index.enable_wal(self.wal_dir / recovery.WAL_NAME)
         recovery.checkpoint(self.index, self.wal_dir / self._dir("ck").name)
         self.changed = False
@@ -538,6 +536,23 @@ def _merge_loses_a_best_row(monkeypatch):
     monkeypatch.setattr(router, "merge_topk", lossy)
 
 
+def _merge_drops_a_last_run(monkeypatch):
+    """iDistance's block merge drops one query's last run in a probe."""
+    module = importlib.import_module("repro.index.idistance")
+    merge = module._merge_offers
+
+    def lossy(best_d, best_r, kth, rows, parts_d, parts_r):
+        if len(parts_d[0]) == 1:
+            rows, parts_d, parts_r = rows[1:], parts_d[1:], parts_r[1:]
+        else:
+            parts_d = [parts_d[0][:-1], *parts_d[1:]]
+            parts_r = [parts_r[0][:-1], *parts_r[1:]]
+        if rows:
+            merge(best_d, best_r, kth, rows, parts_d, parts_r)
+
+    monkeypatch.setattr(module, "_merge_offers", lossy)
+
+
 def _admit_without_normalizing(monkeypatch):
     def admit(self, queries, k):
         queries, valid = check_query_block(
@@ -558,6 +573,8 @@ DEFECTS = {
         (("iMMDR", "memory", "cosine"), _merge_loses_a_best_row),
     "admit_skips_cosine_normalization":
         (("gLDR", "mmap", "cosine"), _admit_without_normalizing),
+    "block_merge_drops_a_last_run":
+        (("iMMDR", "memory", "l2"), _merge_drops_a_last_run),
 }
 
 

@@ -208,6 +208,43 @@ def test_recovered_index_resumes_logging(setting, tmp_path):
         assert np.array_equal(got.distances, want.distances)
 
 
+@pytest.mark.parametrize("store_kind", sorted(STORE_FACTORIES))
+def test_fresh_log_on_recovered_index_keeps_committed_writes(
+    store_kind, setting, tmp_path
+):
+    """A recovered index's pages carry the LSNs of the log they came
+    from; a new log attached to it must number its records past them,
+    or the next recovery skips its page writes as older than the pages
+    and B+-tree keys go missing while their metadata applies."""
+    ds, reduced, ops = setting
+    factory = STORE_FACTORIES[store_kind]
+    index = ExtendedIDistance(reduced, store_factory=factory)
+    index.enable_wal(tmp_path / "one" / "wal.log")
+    checkpoint(index, tmp_path / "one" / "ckpt")
+    for op in ops[:3]:
+        apply_op(index, op)
+    index.wal.close()
+
+    recovered, _ = recover(tmp_path / "one" / "wal.log")
+    recovered.enable_wal(tmp_path / "two" / "wal.log")
+    checkpoint(recovered, tmp_path / "two" / "ckpt")
+    for op in ops[3:6]:
+        apply_op(recovered, op)
+    recovered.wal.close()
+
+    final, _ = recover(tmp_path / "two" / "wal.log")
+    reference = ExtendedIDistance(reduced)
+    for op in ops[:6]:
+        apply_op(reference, op)
+    everything = (-np.inf, np.inf)
+    assert sorted(final.tree.range(*everything)) == sorted(
+        reference.tree.range(*everything)
+    )
+    for op in ops[3:6]:
+        if op[0] == "insert":
+            final.delete(op[2])
+
+
 class TestCheckpointSnapshotPath:
     """A CHECKPOINT record names a snapshot under the log's directory
     relative to it, so the log's bytes do not depend on where that

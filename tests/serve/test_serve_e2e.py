@@ -8,6 +8,7 @@ rung it provoked via the ``serve.*`` metrics, not just "it survived".
 """
 
 import os
+import tempfile
 import threading
 from pathlib import Path
 
@@ -71,10 +72,15 @@ def test_merged_answers_equal_single_node(
 def test_mmap_backed_shards_serve_identically(
     serve_cluster, serve_queries, baselines
 ):
+    heaps = Path(tempfile.gettempdir())
+    before = set(heaps.glob("repro_mmap_*.pages"))
     router = serve_cluster(scheme="iMMDR", n_shards=2, store="mmap")
     result = router.knn(serve_queries, 5)
     assert not result.partial
     assert_exact(result, baselines["iMMDR"])
+    router.close()
+    # Each worker closes its store before exiting: no heap file is left.
+    assert set(heaps.glob("repro_mmap_*.pages")) <= before
 
 
 def test_three_shards_hash_mode(serve_cluster, serve_queries, baselines):

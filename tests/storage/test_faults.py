@@ -1,7 +1,11 @@
 """Fault injection, checksums, retries, and typed page errors (DESIGN.md §9)."""
 
+import numpy as np
 import pytest
 
+from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
+from repro.index.idistance import ExtendedIDistance
+from repro.reduction.mmdr_adapter import MMDRReducer
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import (
     FaultPlan,
@@ -230,6 +234,47 @@ class TestFaultInjection:
         assert ids[0] in faulty
         assert faulty.allocated_pages == len(ids)
         assert faulty.counters is faulty.inner.counters
+
+
+    def test_attempt_after_a_repeat_run_reads_clean(self):
+        # Every draw faults: each fault fails `repeat` attempts, the next
+        # one reads clean, and only then may the page fault again.
+        plan = FaultPlan(seed=0, transient_read_prob=1.0, transient_repeat=2)
+        faulty, _, ids = faulty_fixture(plan)
+        outcomes = []
+        for _ in range(6):
+            try:
+                faulty.fetch(ids[0])
+                outcomes.append("ok")
+            except TransientPageError:
+                outcomes.append("fault")
+        assert outcomes == ["fault", "fault", "ok"] * 2
+
+    def test_transient_only_plan_leaves_idistance_answers_unchanged(self):
+        """The plan the differential oracle first hit: with faults
+        drawn again right after a repeat run, one read could fail five
+        times in a row and exhaust the retry budget."""
+        spec = SyntheticSpec(
+            n_points=300, dimensionality=8, n_clusters=2, retained_dims=3,
+            noise_fraction=0.02,
+        )
+        points = generate_correlated_clusters(
+            spec, np.random.default_rng(4)
+        ).points
+        reduced = MMDRReducer().reduce(points, np.random.default_rng(4))
+        clean, faulted = ExtendedIDistance(reduced), ExtendedIDistance(reduced)
+        faulty = faulted.enable_faults(
+            FaultPlan(seed=4, transient_read_prob=0.4, transient_repeat=2)
+        )
+        queries = points[::10]
+        want = clean.knn_loop(queries, 1)
+        got = faulted.knn_loop(queries, 1)
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.distances, want.distances)
+        assert [s.page_reads for s in got.stats] == [
+            s.page_reads for s in want.stats
+        ]
+        assert faulty.faults_injected > 0
 
 
 class TestRetryPolicy:
